@@ -6,8 +6,8 @@
  * to the measured ones.
  *
  * Benches additionally emit a machine-readable BENCH_<name>.json
- * (bench name, git revision, host-speed calibration, and one entry per
- * metric) so the repo can track its performance trajectory:
+ * (bench name, git revision, host core count, host-speed calibration,
+ * and one entry per metric) so the repo can track its performance trajectory:
  * tools/check_bench_regression.py compares two such files and fails on
  * regressions. Pass `--out <path>` to redirect the JSON (default:
  * BENCH_<name>.json in the current directory) and `--quick` where a
@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/drange.hh"
@@ -175,6 +176,10 @@ class BenchReport
         out << "{\n";
         out << "  \"bench\": \"" << name_ << "\",\n";
         out << "  \"git_rev\": \"" << gitRev() << "\",\n";
+        // Host-parallelism-dependent metrics only compare across
+        // reports taken on the same core count.
+        out << "  \"host_cores\": " << std::thread::hardware_concurrency()
+            << ",\n";
         out << "  \"calibration_ms\": " << calibration_ms_ << ",\n";
         out << "  \"metrics\": [\n";
         for (std::size_t i = 0; i < metrics_.size(); ++i) {

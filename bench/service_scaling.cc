@@ -115,7 +115,7 @@ independentBaseline(std::size_t total_bits)
 }
 
 trng::ServiceConfig
-poolConfig(std::size_t shards)
+poolConfig()
 {
     trng::ServiceConfig config;
     for (int i = 0; i < kPoolMembers; ++i)
@@ -125,7 +125,6 @@ poolConfig(std::size_t shards)
     // Small reservoir so scenario boundaries cannot bank more than
     // ~3% of a run's bit budget as pre-harvested supply.
     config.reservoir_bits = 1u << 18;
-    config.shards = shards;
     return config;
 }
 
@@ -210,25 +209,22 @@ main(int argc, char **argv)
     std::printf("bit budget per scenario: %zu (%s)\n\n", total_bits,
                 quick ? "--quick" : "full");
 
-    std::printf("[1/5] baseline: 4 independent single-consumer "
+    std::printf("[1/4] baseline: 4 independent single-consumer "
                 "sessions...\n");
     const double baseline = independentBaseline(total_bits);
     std::printf("      %.2f Mb/s aggregate\n", baseline);
 
-    std::printf("[2/5] service pool (4 members, 4 shards), "
-                "1 session...\n");
-    trng::Service service(poolConfig(4));
+    std::printf("[2/4] service pool (4 members), 1 session...\n");
+    trng::Service service(poolConfig());
     warmup(service);
     const double one = serviceScenario(service, 1, total_bits);
     std::printf("      %.2f Mb/s\n", one);
 
-    std::printf("[3/5] service pool (4 members, 4 shards), "
-                "4 sessions...\n");
+    std::printf("[3/4] service pool (4 members), 4 sessions...\n");
     const double four = serviceScenario(service, 4, total_bits);
     std::printf("      %.2f Mb/s aggregate\n", four);
 
-    std::printf("[4/5] service pool (4 members, 4 shards), "
-                "16 sessions...\n");
+    std::printf("[4/4] service pool (4 members), 16 sessions...\n");
     double spread = 0.0;
     const double sixteen =
         serviceScenario(service, 16, total_bits, &spread);
@@ -237,48 +233,6 @@ main(int argc, char **argv)
                 sixteen, spread);
 
     const auto stats = service.stats();
-
-    // Per-shard breakdown of the sharded service run: with sessions
-    // spread round-robin and work stealing filling local droughts,
-    // every shard should move a comparable share of the bits.
-    std::printf("\nper-shard throughput (sharded run):\n");
-    std::uint64_t shard_lo = ~0ull, shard_hi = 0;
-    for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-        const auto &shard = stats.shards[i];
-        std::printf("  shard %zu: %zu member(s), %llu bits harvested, "
-                    "%llu distributed, %llu steals (%llu bits)\n",
-                    i, shard.members,
-                    static_cast<unsigned long long>(
-                        shard.harvested_bits),
-                    static_cast<unsigned long long>(
-                        shard.distributed_bits),
-                    static_cast<unsigned long long>(shard.steals),
-                    static_cast<unsigned long long>(
-                        shard.stolen_bits));
-        shard_lo = std::min(shard_lo, shard.distributed_bits);
-        shard_hi = std::max(shard_hi, shard.distributed_bits);
-    }
-    const double shard_spread =
-        shard_lo > 0
-            ? static_cast<double>(shard_hi) /
-                  static_cast<double>(shard_lo)
-            : 0.0;
-    std::printf("  distribution spread across shards: %.3fx, "
-                "%llu cross-shard steals (%llu bits)\n",
-                shard_spread,
-                static_cast<unsigned long long>(stats.steals),
-                static_cast<unsigned long long>(stats.stolen_bits));
-
-    std::printf("\n[5/5] service pool (4 members, 1 shard), "
-                "16 sessions (sharding ablation)...\n");
-    trng::Service monolithic(poolConfig(1));
-    warmup(monolithic);
-    const double one_shard =
-        serviceScenario(monolithic, 16, total_bits);
-    std::printf("      %.2f Mb/s aggregate (single reservoir + "
-                "dispatcher)\n",
-                one_shard);
-
     std::printf("\nservice: %llu bits harvested, reservoir high "
                 "watermark %llu/%llu, %llu producer waits, chunk "
                 "adaptation %llu grows / %llu shrinks\n",
@@ -306,12 +260,8 @@ main(int argc, char **argv)
                Better::Higher, /*host=*/true, /*enforced=*/false);
     report.add("service_16_sessions_mbps", sixteen, "Mb/s",
                Better::Higher, /*host=*/true, /*enforced=*/false);
-    report.add("service_16_sessions_1shard_mbps", one_shard, "Mb/s",
-               Better::Higher, /*host=*/true, /*enforced=*/false);
     report.add("scaling_16_vs_independent", ratio, "x",
                Better::Higher);
-    report.add("shard_throughput_spread", shard_spread, "x",
-               Better::Lower);
     report.add("fair_share_spread_16", spread, "x", Better::Lower);
     report.write();
     return 0;

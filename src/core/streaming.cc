@@ -118,17 +118,6 @@ StreamingTrng::launch(std::vector<int> rounds, bool continuous)
         config_.queue_capacity);
     host_start_ = std::chrono::steady_clock::now();
 
-    // Parallel conditioning plane: the feeder thread takes over the
-    // raw-chunk sequencing the consumer thread runs inline in serial
-    // mode; it blocks on the (still empty) queue until the producers
-    // spawned below start pushing.
-    if (config_.conditioning_workers > 0 && !pipeline_.empty()) {
-        conditioner_ = std::make_unique<trng::ParallelConditioner>(
-            pipeline_, config_.conditioning_workers,
-            config_.queue_capacity);
-        feeder_ = std::thread([this] { feederLoop(); });
-    }
-
     // Continuous sessions run until stopped and nothing drains their
     // command traces; bound them so multi-hour trngd runs cannot leak.
     if (continuous && config_.trace_capacity > 0)
@@ -356,28 +345,6 @@ StreamingTrng::nextRawChunk(bool blocking, bool &would_block)
     }
 }
 
-void
-StreamingTrng::feederLoop()
-{
-    // Runs the consumer-side raw sequencing (channel-major reorder for
-    // bounded sessions, arrival order for continuous ones) plus online
-    // validation, then hands each chunk -- moved, never copied -- to
-    // the conditioning workers. Owns the raw-side stats fields for the
-    // whole session; stop() joins this thread before reading them.
-    for (;;) {
-        bool would_block = false;
-        auto chunk = nextRawChunk(/*blocking=*/true, would_block);
-        if (!chunk)
-            break;
-        stats_.raw_bits += chunk->bits.size();
-        ++stats_.chunks;
-        if (config_.validate_threads > 0)
-            validateChunk(chunk->bits);
-        conditioner_->push(std::move(chunk->bits));
-    }
-    conditioner_->finishInput();
-}
-
 std::optional<util::BitStream>
 StreamingTrng::flushConditioning()
 {
@@ -411,28 +378,6 @@ StreamingTrng::nextChunkImpl(bool blocking)
 {
     if (!running_)
         return std::nullopt;
-
-    if (conditioner_) {
-        // Parallel plane: the feeder + workers already sequenced,
-        // validated, conditioned, and reordered; the flush tail
-        // arrives as the final chunk. pop() rethrows a worker error
-        // exactly where the serial path would have thrown inline.
-        std::optional<util::BitStream> out;
-        if (blocking) {
-            out = conditioner_->pop();
-        } else {
-            bool would_block = false;
-            out = conditioner_->tryPop(would_block);
-            if (!out && would_block)
-                return std::nullopt; // Nothing ready; stream live.
-        }
-        if (!out) {
-            flushed_ = true; // Workers flushed the stages already.
-            return std::nullopt;
-        }
-        stats_.out_bits += out->size();
-        return out;
-    }
 
     for (;;) {
         bool would_block = false;
@@ -497,18 +442,7 @@ StreamingTrng::stop()
     if (!running_)
         return;
     queue_->close();
-    if (conditioner_) {
-        // abort() is a no-op after a full drain (workers already
-        // exited); on an early stop it closes both conditioner queues
-        // so a feeder blocked mid-push and workers blocked on a full
-        // output queue all unwind. Undelivered chunks are dropped,
-        // matching the serial path's discarded stash.
-        conditioner_->abort();
-    }
-    if (feeder_.joinable())
-        feeder_.join();
     joinProducers();
-    conditioner_.reset();
     running_ = false;
     stash_.clear();
     stats_.producer_waits = queue_->pushWaits();

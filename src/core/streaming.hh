@@ -12,7 +12,9 @@
  * pipeline -- any composition of trng::ConditioningStage instances,
  * e.g. von Neumann -> SP 800-90B health tests, or SHA-256 -- plus
  * optional online NIST validation on the consumer side while later
- * chunks are still being harvested.
+ * chunks are still being harvested. Conditioning runs inline on the
+ * consumer thread: it is a small fraction of harvest time, so
+ * overlapping it with the harvest is all the parallelism it needs.
  *
  * Bounded sessions (start()/generate()) emit bits in a deterministic
  * order -- each channel's bits in harvest order, channels concatenated
@@ -64,18 +66,6 @@ struct StreamingConfig
 
     /** Queue depth before harvesting blocks on conditioning. */
     std::size_t queue_capacity = 8;
-
-    /**
-     * > 0: condition chunks on this many worker threads through a
-     * trng::ParallelConditioner instead of inline on the consumer
-     * thread. Chunk-local stages (sha256, raw) overlap across chunks;
-     * stateful stages (vonneumann, health) are serialized by sequence
-     * ticket, and a reorder buffer keeps delivery order -- the output
-     * is bit-identical to the serial path for any worker count. 0 (the
-     * default) keeps conditioning inline. Ignored when the pipeline is
-     * empty (raw passthrough needs no workers).
-     */
-    int conditioning_workers = 0;
 
     /**
      * Conditioning pipeline as an ordered list of registered stage
@@ -303,7 +293,6 @@ class StreamingTrng
     bool pushPending(std::size_t engine_idx, util::BitStream &pending,
                      bool last);
     void joinProducers();
-    void feederLoop();
     std::optional<StreamChunk> nextRawChunk(bool blocking,
                                             bool &would_block);
     std::optional<util::BitStream> nextChunkImpl(bool blocking);
@@ -331,14 +320,6 @@ class StreamingTrng
     std::map<std::pair<int, std::uint64_t>, StreamChunk> stash_;
     trng::ConditioningPipeline pipeline_;
     std::chrono::steady_clock::time_point host_start_;
-
-    // Parallel-conditioning plane (config_.conditioning_workers > 0):
-    // a feeder thread runs the raw-chunk sequencing + validation that
-    // the consumer thread runs inline in serial mode, and pushes raw
-    // chunks into the worker pool; nextChunk() pops conditioned chunks
-    // in submission order. Recreated per session.
-    std::unique_ptr<trng::ParallelConditioner> conditioner_;
-    std::thread feeder_;
 
     StreamingStats stats_;
 };

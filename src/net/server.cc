@@ -241,7 +241,7 @@ Server::updateDegraded(std::uint64_t now_ns)
         return;
 
     if (now_ns >= next_health_poll_ns_) {
-        // Rate-limit the Service stats snapshot: it takes every shard
+        // Rate-limit the Service stats snapshot: it takes the service
         // lock, so polling it each epoll iteration would contend with
         // the producers for no fresher an answer.
         next_health_poll_ns_ = now_ns + 20'000'000ULL;

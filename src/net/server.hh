@@ -12,8 +12,8 @@
  *    exactly like the original thread-per-connection daemon).
  *  - Entropy reads go through Session::readAsync; the loop polls the
  *    oldest in-flight future per connection between epoll waits, so a
- *    slow or dry reservoir shard never blocks the accept path or the
- *    other connections. Responses complete strictly in request order.
+ *    slow or dry reservoir never blocks the accept path or the other
+ *    connections. Responses complete strictly in request order.
  *  - Requests larger than max_request_bytes (or otherwise malformed
  *    but still well-framed) are answered with a kStatusProtocolError
  *    frame and the connection stays open; only an unframeable byte

@@ -122,296 +122,6 @@ ConditioningPipeline::healthy() const
     return true;
 }
 
-// ------------------------------------------------ ParallelConditioner
-
-ParallelConditioner::ParallelConditioner(ConditioningPipeline &pipeline,
-                                         int workers,
-                                         std::size_t queue_capacity)
-    : pipeline_(&pipeline), input_(queue_capacity),
-      output_(queue_capacity)
-{
-    if (workers < 1)
-        throw std::invalid_argument(
-            "ParallelConditioner: workers must be >= 1");
-    for (const auto &stage : pipeline.stages_) {
-        auto slot = std::make_unique<StageSlot>();
-        slot->stage = stage.get();
-        slot->local = stage->chunkLocal();
-        slot->acct = StageAccounting{stage->name()};
-        slots_.push_back(std::move(slot));
-    }
-    live_workers_.store(workers, std::memory_order_relaxed);
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ParallelConditioner::~ParallelConditioner()
-{
-    abort();
-}
-
-void
-ParallelConditioner::push(util::BitStream chunk)
-{
-    Item item;
-    item.seq = next_push_seq_;
-    item.bits = std::move(chunk);
-    const std::uint64_t bits = item.bits.size();
-    if (input_.push(std::move(item))) {
-        ++next_push_seq_;
-        in_bits_.fetch_add(bits, std::memory_order_relaxed);
-    }
-    // push() fails only once the run is aborted; the chunk is dropped.
-}
-
-void
-ParallelConditioner::finishInput()
-{
-    input_.close();
-}
-
-std::optional<util::BitStream>
-ParallelConditioner::pop()
-{
-    auto chunk = output_.pop();
-    if (chunk)
-        return chunk;
-    // Closed and drained: surface the first worker error, once.
-    std::lock_guard<std::mutex> lock(out_mu_);
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-    return std::nullopt;
-}
-
-std::optional<util::BitStream>
-ParallelConditioner::tryPop(bool &would_block)
-{
-    util::BitStream out;
-    if (output_.tryPop(out)) {
-        would_block = false;
-        return out;
-    }
-    if (!finished_.load(std::memory_order_acquire)) {
-        would_block = true;
-        return std::nullopt;
-    }
-    // The run finished between the tryPop and the flag read; a final
-    // chunk (the flush tail) may have raced in.
-    if (output_.tryPop(out)) {
-        would_block = false;
-        return out;
-    }
-    would_block = false;
-    std::lock_guard<std::mutex> lock(out_mu_);
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        std::rethrow_exception(err);
-    }
-    return std::nullopt;
-}
-
-void
-ParallelConditioner::abort()
-{
-    if (!aborted_.exchange(true, std::memory_order_acq_rel)) {
-        input_.close();
-        output_.close();
-        // Wake ticket waiters under their slot mutex so the aborted_
-        // store cannot race past a waiter's predicate check.
-        for (const auto &slot : slots_) {
-            std::lock_guard<std::mutex> lock(slot->mu);
-            slot->turn_cv.notify_all();
-        }
-    }
-    joinWorkers();
-}
-
-bool
-ParallelConditioner::finished() const
-{
-    return finished_.load(std::memory_order_acquire);
-}
-
-void
-ParallelConditioner::workerLoop()
-{
-    while (true) {
-        std::optional<Item> item = input_.pop();
-        if (!item)
-            break;
-        if (aborted_.load(std::memory_order_acquire))
-            continue; // Drain and drop in-flight chunks.
-        try {
-            util::BitStream result =
-                runStages(item->seq, std::move(item->bits));
-            if (!aborted_.load(std::memory_order_acquire))
-                deposit(item->seq, std::move(result));
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(out_mu_);
-                if (!error_)
-                    error_ = std::current_exception();
-            }
-            failRun();
-        }
-    }
-    if (live_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        completeRun();
-}
-
-util::BitStream
-ParallelConditioner::runStages(std::uint64_t seq, util::BitStream bits)
-{
-    for (const auto &slot_ptr : slots_) {
-        StageSlot &slot = *slot_ptr;
-        if (slot.local) {
-            // Chunk-local: process outside any lock (the contract
-            // guarantees concurrent calls are safe), then fold the
-            // numbers into the shared accounting.
-            const std::uint64_t in_bits = bits.size();
-            const std::uint64_t in_ones = bits.popcount();
-            bits = slot.stage->processOwned(std::move(bits));
-            std::lock_guard<std::mutex> lock(slot.mu);
-            slot.acct.in_bits += in_bits;
-            slot.acct.in_ones += in_ones;
-            slot.acct.out_bits += bits.size();
-            slot.acct.out_ones += bits.popcount();
-        } else {
-            // Stateful: wait for this chunk's turn, process while
-            // holding the slot (at most one mutex held at a time, in
-            // stage order), then hand the ticket to seq + 1.
-            std::unique_lock<std::mutex> lock(slot.mu);
-            slot.turn_cv.wait(lock, [&] {
-                return slot.next_seq == seq ||
-                       aborted_.load(std::memory_order_acquire);
-            });
-            if (aborted_.load(std::memory_order_acquire))
-                return {};
-            slot.acct.in_bits += bits.size();
-            slot.acct.in_ones += bits.popcount();
-            bits = slot.stage->processOwned(std::move(bits));
-            slot.acct.out_bits += bits.size();
-            slot.acct.out_ones += bits.popcount();
-            slot.acct.health_failures = slot.stage->failures();
-            slot.next_seq = seq + 1;
-            lock.unlock();
-            slot.turn_cv.notify_all();
-        }
-    }
-    return bits;
-}
-
-void
-ParallelConditioner::deposit(std::uint64_t seq, util::BitStream bits)
-{
-    // The contiguous prefix is pushed while holding out_mu_ so two
-    // workers draining back-to-back sequences cannot interleave their
-    // output. A full output queue blocks the push -- with the lock
-    // held -- but the consumer side (pop/tryPop) never takes out_mu_
-    // before draining the queue, so it always frees space.
-    std::lock_guard<std::mutex> lock(out_mu_);
-    reorder_.emplace(seq, std::move(bits));
-    auto it = reorder_.find(next_out_seq_);
-    while (it != reorder_.end()) {
-        if (!it->second.empty()) {
-            out_bits_.fetch_add(it->second.size(),
-                                std::memory_order_relaxed);
-            output_.push(std::move(it->second));
-        }
-        reorder_.erase(it);
-        ++next_out_seq_;
-        it = reorder_.find(next_out_seq_);
-    }
-}
-
-void
-ParallelConditioner::failRun()
-{
-    if (aborted_.exchange(true, std::memory_order_acq_rel))
-        return;
-    input_.close();
-    output_.close();
-    for (const auto &slot : slots_) {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        slot->turn_cv.notify_all();
-    }
-}
-
-util::BitStream
-ParallelConditioner::flushStages()
-{
-    // Runs single-threaded in the last exiting worker: every chunk has
-    // already passed every stage, so this mirrors the serial
-    // ConditioningPipeline::finish() front-to-back flush exactly.
-    util::BitStream out;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        util::BitStream flushed = slots_[i]->stage->finish();
-        slots_[i]->acct.out_bits += flushed.size();
-        slots_[i]->acct.out_ones += flushed.popcount();
-        if (flushed.empty())
-            continue;
-        util::BitStream bits = std::move(flushed);
-        for (std::size_t j = i + 1; j < slots_.size(); ++j) {
-            StageSlot &slot = *slots_[j];
-            slot.acct.in_bits += bits.size();
-            slot.acct.in_ones += bits.popcount();
-            bits = slot.stage->processOwned(std::move(bits));
-            slot.acct.out_bits += bits.size();
-            slot.acct.out_ones += bits.popcount();
-            slot.acct.health_failures = slot.stage->failures();
-        }
-        out.append(bits);
-    }
-    return out;
-}
-
-void
-ParallelConditioner::completeRun()
-{
-    if (!aborted_.load(std::memory_order_acquire)) {
-        try {
-            util::BitStream tail = flushStages();
-            if (!tail.empty()) {
-                std::lock_guard<std::mutex> lock(out_mu_);
-                out_bits_.fetch_add(tail.size(),
-                                    std::memory_order_relaxed);
-                output_.push(std::move(tail));
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(out_mu_);
-            if (!error_)
-                error_ = std::current_exception();
-        }
-    }
-    // Fold the per-stage accounting back into the pipeline so
-    // accounting()/healthy() reporting is identical to a serial run.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        StageAccounting &dst = pipeline_->accounting_[i];
-        const StageAccounting &src = slots_[i]->acct;
-        dst.in_bits += src.in_bits;
-        dst.in_ones += src.in_ones;
-        dst.out_bits += src.out_bits;
-        dst.out_ones += src.out_ones;
-        dst.health_failures = slots_[i]->stage->failures();
-    }
-    finished_.store(true, std::memory_order_release);
-    output_.close();
-}
-
-void
-ParallelConditioner::joinWorkers()
-{
-    std::lock_guard<std::mutex> lock(join_mu_);
-    for (std::thread &thread : threads_)
-        if (thread.joinable())
-            thread.join();
-}
-
 namespace {
 
 /**

@@ -6,8 +6,9 @@
  * options at three compile-time cases; ConditioningStage opens it: a
  * stage consumes the previous stage's chunks and emits conditioned
  * chunks, stages compose in order into a ConditioningPipeline (run by
- * core::StreamingTrng on the consumer side of the harvest pipeline),
- * and new stages register by name next to the built-ins
+ * core::StreamingTrng on the consumer side of the harvest pipeline,
+ * and per client session by trng::Service's dispatcher), and new
+ * stages register by name next to the built-ins
  * ("raw", "vonneumann", "sha256", "health" -- see registerStage()).
  *
  * Stages may hold state across chunks (the von Neumann corrector
@@ -17,37 +18,22 @@
  * bits in/out and the Shannon entropy of each stage's input and output
  * streams -- surfaced through core::StreamingStats.
  *
- * Parallelism contract: a stage that is a pure per-chunk function --
- * no state carried between process() calls, so concurrent calls on
- * different chunks are safe and chunk results are independent --
- * declares chunkLocal() == true (SHA-256, Raw). Carry-stateful stages
- * (von Neumann, health) keep the default false and are fed
- * sequence-numbered chunks strictly in order. ParallelConditioner
- * exploits the contract to run one pipeline chunk- and stage-parallel
- * over a worker pool while emitting output bit-identical to the
- * serial ConditioningPipeline: chunk-local stages fan out across
- * workers, stateful stages are serialized by a per-stage sequence
- * ticket, and a reorder buffer restores submission order at the end.
+ * A pipeline runs on one thread at a time, and conditioning is a small
+ * share of harvest cost: chunks are handed between stages by move, and
+ * the von Neumann corrector is word-parallel (32 bit-pairs per 64-bit
+ * word).
  */
 
 #ifndef DRANGE_TRNG_CONDITIONING_HH
 #define DRANGE_TRNG_CONDITIONING_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trng/params.hh"
 #include "util/bitstream.hh"
-#include "util/chunk_queue.hh"
 
 namespace drange::trng {
 
@@ -95,12 +81,11 @@ class ConditioningStage
     }
 
     /**
-     * Parallelism contract. True promises process() is a pure
-     * function of its chunk -- no state carried across calls -- and
-     * safe to call concurrently from several threads, so a
-     * ParallelConditioner may reorder and overlap chunks through this
-     * stage freely. Stateful stages keep the default false and are
-     * run strictly in chunk-sequence order.
+     * True promises process() is a pure function of its chunk, with no
+     * state carried across calls (SHA-256, Raw). Nothing in the library
+     * schedules on it; it stays part of the interface because stage
+     * wrappers built against it (servicebench's timing stages) forward
+     * it to the stage they wrap.
      */
     virtual bool chunkLocal() const { return false; }
 
@@ -166,142 +151,10 @@ class ConditioningPipeline
     }
 
   private:
-    friend class ParallelConditioner;
-
     util::BitStream run(std::size_t first_stage, util::BitStream bits);
 
     std::vector<std::unique_ptr<ConditioningStage>> stages_;
     std::vector<StageAccounting> accounting_;
-};
-
-/**
- * Chunk- and stage-parallel executor over a ConditioningPipeline.
- *
- * A worker pool drains a bounded util::ChunkQueue of (seq, BitStream)
- * records; each worker carries its chunk through the whole stage list.
- * Chunk-local stages (ConditioningStage::chunkLocal()) run wherever a
- * worker happens to be -- several chunks may be inside SHA-256 at
- * once -- while stateful stages are gated by a per-stage sequence
- * ticket so they consume chunks strictly in submission order (the von
- * Neumann carry and the health-test windows see the exact serial
- * stream). Finished chunks land in a reorder buffer that releases the
- * contiguous prefix into the output queue, so consumers always see
- * chunks in submission order: for every stage list the output is
- * bit-identical to running the same chunks through the serial
- * pipeline, regardless of worker count or scheduling.
- *
- * The conditioner borrows the pipeline's stages (reset them via
- * ConditioningPipeline::reset() before constructing) and writes the
- * per-stage accounting back into the pipeline when the run completes,
- * so StreamingStats reporting is unchanged. push() must come from one
- * thread; pop() from one thread (they may be the same).
- *
- * Lifecycle: push() chunks, finishInput() once, pop() until nullopt
- * (the stateful stages' flushed tail arrives as the final chunk), then
- * destroy -- or abort() to tear down mid-stream (in-flight chunks are
- * dropped, workers join, no flush).
- */
-class ParallelConditioner
-{
-  public:
-    /** Spin up @p workers threads over @p pipeline's stages.
-     * @p queue_capacity bounds both the input and the output queue
-     * (backpressure toward the producer resp. the consumer). */
-    ParallelConditioner(ConditioningPipeline &pipeline, int workers,
-                        std::size_t queue_capacity = 16);
-
-    /** abort()s if the run is still live. */
-    ~ParallelConditioner();
-
-    ParallelConditioner(const ParallelConditioner &) = delete;
-    ParallelConditioner &operator=(const ParallelConditioner &) = delete;
-
-    /** Queue @p chunk (assigned the next sequence number), blocking
-     * while the input queue is full. Single producer thread. */
-    void push(util::BitStream chunk);
-
-    /** No more input: once in-flight chunks drain, the stages are
-     * finish()ed front-to-back and the tail (if any) is emitted as the
-     * final output chunk, then the output closes. */
-    void finishInput();
-
-    /** Next conditioned chunk in submission order; empty per-chunk
-     * results are skipped. nullopt once the run is complete. Rethrows
-     * the first worker error, if any. */
-    std::optional<util::BitStream> pop();
-
-    /** Non-blocking pop(). nullopt with @p would_block set when no
-     * chunk is ready yet; with it clear when the run is complete. */
-    std::optional<util::BitStream> tryPop(bool &would_block);
-
-    /** Tear down mid-stream: closes both queues, drops in-flight
-     * chunks, joins the workers. No flush tail. Idempotent. */
-    void abort();
-
-    /** True once every chunk has been conditioned and the flush tail
-     * emitted (or the run was abort()ed). */
-    bool finished() const;
-
-    /** Conditioned bits emitted so far (including the flush tail). */
-    std::uint64_t outBits() const
-    {
-        return out_bits_.load(std::memory_order_relaxed);
-    }
-
-    /** Raw bits accepted via push(). */
-    std::uint64_t inBits() const
-    {
-        return in_bits_.load(std::memory_order_relaxed);
-    }
-
-    int workers() const { return static_cast<int>(threads_.size()); }
-
-  private:
-    struct Item
-    {
-        std::uint64_t seq = 0;
-        util::BitStream bits;
-    };
-
-    /** Per-stage execution slot: the sequence ticket serializing
-     * stateful stages and the accounting shared by all workers. */
-    struct StageSlot
-    {
-        ConditioningStage *stage = nullptr;
-        bool local = false; //!< chunkLocal(): no ticket needed.
-        std::mutex mu;
-        std::condition_variable turn_cv; //!< next_seq advanced.
-        std::uint64_t next_seq = 0;      //!< Next chunk this stage admits.
-        StageAccounting acct;
-    };
-
-    void workerLoop();
-    util::BitStream runStages(std::uint64_t seq, util::BitStream bits);
-    void deposit(std::uint64_t seq, util::BitStream bits);
-    void failRun();
-    util::BitStream flushStages();
-    void completeRun();
-    void joinWorkers();
-
-    ConditioningPipeline *pipeline_;
-    std::vector<std::unique_ptr<StageSlot>> slots_;
-    util::ChunkQueue<Item> input_;
-    util::ChunkQueue<util::BitStream> output_;
-
-    std::uint64_t next_push_seq_ = 0; //!< Producer thread only.
-    std::atomic<std::uint64_t> in_bits_{0};
-    std::atomic<std::uint64_t> out_bits_{0};
-    std::atomic<int> live_workers_{0};
-    std::atomic<bool> aborted_{false};
-    std::atomic<bool> finished_{false};
-
-    std::mutex out_mu_; //!< Guards the reorder buffer + error slot.
-    std::map<std::uint64_t, util::BitStream> reorder_;
-    std::uint64_t next_out_seq_ = 0;
-    std::exception_ptr error_;
-
-    std::mutex join_mu_; //!< Serializes joinWorkers() callers.
-    std::vector<std::thread> threads_;
 };
 
 /** Identity stage: passes chunks through unchanged. */
@@ -338,7 +191,7 @@ class VonNeumannStage final : public ConditioningStage
 };
 
 /** SHA-256 stage: each input chunk conditions independently to one
- * 256-bit digest (chunk-local, therefore overlappable). */
+ * 256-bit digest (chunk-local). */
 class Sha256Stage final : public ConditioningStage
 {
   public:

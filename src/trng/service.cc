@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "fleet/population.hh"
@@ -115,19 +115,6 @@ ServiceConfig::fromParams(const Params &params)
     cfg.adapt_interval_chunks = static_cast<int>(positiveSize(
         service, "adapt_interval_chunks",
         static_cast<std::size_t>(cfg.adapt_interval_chunks)));
-    const std::int64_t shards = service.getInt(
-        "shards", static_cast<std::int64_t>(cfg.shards));
-    if (shards < 0)
-        badConfig("[service] shards must be >= 0 (0 = one per pool "
-                  "member; got " + std::to_string(shards) + ")");
-    cfg.shards = static_cast<std::size_t>(shards);
-    const std::int64_t cond_workers = service.getInt(
-        "conditioning_workers",
-        static_cast<std::int64_t>(cfg.conditioning_workers));
-    if (cond_workers < 0)
-        badConfig("[service] conditioning_workers must be >= 0 (got " +
-                  std::to_string(cond_workers) + ")");
-    cfg.conditioning_workers = static_cast<int>(cond_workers);
     cfg.reinstate = service.getBool("reinstate", cfg.reinstate);
     const std::int64_t delay = service.getInt(
         "probation_delay_ms",
@@ -169,13 +156,6 @@ ServiceConfig::fromParams(const Params &params)
         for (const std::string &key : member.keys())
             if (key != "source")
                 pm.params.set(key, member.getString(key));
-        // One [service] knob fans parallel conditioning out to the
-        // whole pool; only the "streaming" source takes the key, and
-        // an explicit per-member value wins.
-        if (cfg.conditioning_workers > 0 && pm.source == "streaming" &&
-            !pm.params.has("conditioning_workers"))
-            pm.params.set("conditioning_workers",
-                          std::to_string(cfg.conditioning_workers));
         if (pm.source == "fleet")
             for (const std::string &key : fleet_section.keys())
                 if (!pm.params.has("fleet." + key))
@@ -203,21 +183,6 @@ Service::Service(ServiceConfig config) : config_(std::move(config))
     if (config_.adapt_interval_chunks < 1)
         badConfig("adapt_interval_chunks must be >= 1");
 
-    // One shard per member by default; explicit counts are clamped to
-    // the pool size (a shard with no member would live off stealing
-    // alone and just add latency).
-    const std::size_t shard_count =
-        std::clamp<std::size_t>(config_.shards == 0 ? config_.pool.size()
-                                                    : config_.shards,
-                                1, config_.pool.size());
-    shards_.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-        auto shard = std::make_unique<Shard>();
-        shard->capacity_bits =
-            std::max<std::size_t>(1, config_.reservoir_bits / shard_count);
-        shards_.push_back(std::move(shard));
-    }
-
     members_.reserve(config_.pool.size());
     for (std::size_t i = 0; i < config_.pool.size(); ++i) {
         const PoolMemberConfig &pm = config_.pool[i];
@@ -236,16 +201,11 @@ Service::Service(ServiceConfig config) : config_(std::move(config))
             std::clamp(member->source->chunkBits(),
                        config_.min_chunk_bits, config_.max_chunk_bits);
         member->source->setChunkBits(member->chunk_bits);
-        member->shard = i % shard_count;
-        ++shards_[member->shard]->member_count;
         members_.push_back(std::move(member));
     }
 
-    live_workers_.store(static_cast<int>(members_.size()),
-                        std::memory_order_relaxed);
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->dispatcher =
-            std::thread(&Service::dispatcherLoop, this, s);
+    live_workers_ = static_cast<int>(members_.size());
+    dispatcher_ = std::thread(&Service::dispatcherLoop, this);
     for (std::size_t i = 0; i < members_.size(); ++i)
         members_[i]->worker =
             std::thread(&Service::workerLoop, this, i);
@@ -261,49 +221,14 @@ Service::~Service()
     close();
 }
 
-std::unique_lock<std::mutex>
-Service::fairLock(const Shard &shard)
-{
-    shard.lock_waiters.fetch_add(1, std::memory_order_acq_rel);
-    std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-    while (!lock.owns_lock()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        (void)lock.try_lock();
-    }
-    shard.lock_waiters.fetch_sub(1, std::memory_order_acq_rel);
-    return lock;
-}
-
-void
-Service::yieldToWaiters(const Shard &shard,
-                        std::unique_lock<std::mutex> &lock)
-{
-    if (shard.lock_waiters.load(std::memory_order_acquire) == 0)
-        return;
-    // Unlocking wakes one parked waiter, but it still has to be
-    // scheduled before it can take the mutex; sleeping unlocked keeps
-    // this thread from snatching it back first.
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    lock.lock();
-}
-
 void
 Service::workerLoop(std::size_t member_idx)
 {
     Member &m = *members_[member_idx];
-    Shard &home = *shards_[m.shard];
 
-    // Every dispatcher may need to re-evaluate on a lifecycle edge
-    // (fail requests once the last worker anywhere stops; resume
-    // serving on a reinstatement), not just the home shard's.
-    auto notifyDispatchers = [this] {
-        for (const auto &shard : shards_) {
-            const std::unique_lock<std::mutex> lock = fairLock(*shard);
-            shard->work_cv.notify_all();
-        }
-    };
-
+    // Every lifecycle edge below updates the worker counts under mu_
+    // and wakes the dispatcher: it fails pending reads once no member
+    // can serve any more, and resumes serving on a reinstatement.
     bool need_start = true;
     for (;;) {
         bool quarantine = false;
@@ -312,7 +237,7 @@ Service::workerLoop(std::size_t member_idx)
                 m.source->startContinuous();
                 need_start = false;
             }
-            quarantine = !pumpMember(m, home);
+            quarantine = !pumpMember(m);
         } catch (...) {
             // A source that dies mid-session is handled like a
             // tripped one: quarantine it and fail over to the
@@ -321,68 +246,56 @@ Service::workerLoop(std::size_t member_idx)
         }
 
         if (!quarantine || closing_.load(std::memory_order_acquire)) {
-            // Clean end: exhausted/stopped. The member was serving,
-            // so it still counts against live_workers_.
-            {
-                const std::unique_lock<std::mutex> lock = fairLock(home);
-                m.done = true;
-            }
-            live_workers_.fetch_sub(1, std::memory_order_acq_rel);
-            notifyDispatchers();
+            // Clean end: exhausted/stopped.
+            const std::lock_guard<std::mutex> lock(mu_);
+            m.done = true;
+            --live_workers_;
+            work_cv_.notify_one();
             return;
         }
 
         // SP 800-90B alarm (or source death): the bits that tripped
         // it are suspect, so the alarming chunk was dropped with the
-        // member. A quarantined member does not count as a live
-        // worker; with the lifecycle enabled it counts as recovering
-        // *before* live_workers_ drops, so the dispatchers never see
-        // both counters at zero and fail reads that a reinstatement
+        // member. With the lifecycle enabled the member moves from
+        // live to recovering in one step, so the dispatcher never sees
+        // both counts at zero and fails reads that a reinstatement
         // would have served.
         {
-            const std::unique_lock<std::mutex> lock = fairLock(home);
+            const std::lock_guard<std::mutex> lock(mu_);
             m.quarantined = true;
             ++m.quarantines;
-        }
-        if (config_.reinstate)
-            recovering_workers_.fetch_add(1, std::memory_order_acq_rel);
-        live_workers_.fetch_sub(1, std::memory_order_acq_rel);
-        notifyDispatchers();
-
-        if (!config_.reinstate || !runProbation(m, home)) {
-            // Permanent quarantine (lifecycle disabled, attempts
-            // exhausted, or the service is closing). Already
-            // subtracted from live_workers_ above.
-            {
-                const std::unique_lock<std::mutex> lock = fairLock(home);
-                m.probation = false;
-                m.done = true;
-            }
+            --live_workers_;
             if (config_.reinstate)
-                recovering_workers_.fetch_sub(1,
-                                              std::memory_order_acq_rel);
-            notifyDispatchers();
+                ++recovering_workers_;
+            work_cv_.notify_one();
+        }
+
+        if (!config_.reinstate || !runProbation(m)) {
+            // Permanent quarantine (lifecycle disabled, attempts
+            // exhausted, or the service is closing).
+            const std::lock_guard<std::mutex> lock(mu_);
+            m.probation = false;
+            m.done = true;
+            if (config_.reinstate)
+                --recovering_workers_;
+            work_cv_.notify_one();
             return;
         }
 
         // Clean probation: rejoin the pool and keep pumping the
         // probation attempt's (still open, still clean) session.
-        // live_workers_ rises before recovering_workers_ drops, again
-        // keeping the dispatchers' (live + recovering) view nonzero.
-        {
-            const std::unique_lock<std::mutex> lock = fairLock(home);
-            m.quarantined = false;
-            m.probation = false;
-            ++m.reinstatements;
-        }
-        live_workers_.fetch_add(1, std::memory_order_acq_rel);
-        recovering_workers_.fetch_sub(1, std::memory_order_acq_rel);
-        notifyDispatchers();
+        const std::lock_guard<std::mutex> lock(mu_);
+        m.quarantined = false;
+        m.probation = false;
+        ++m.reinstatements;
+        ++live_workers_;
+        --recovering_workers_;
+        work_cv_.notify_one();
     }
 }
 
 bool
-Service::pumpMember(Member &m, Shard &home)
+Service::pumpMember(Member &m)
 {
     int since_adapt = 0;
     for (;;) {
@@ -398,64 +311,54 @@ Service::pumpMember(Member &m, Shard &home)
 
         std::size_t new_chunk_bits = 0;
         {
-            std::unique_lock<std::mutex> lock = fairLock(home);
-            if (!home.reservoir.empty() &&
-                home.reservoir.size() + chunk->size() >
-                    home.capacity_bits) {
-                // Backpressure: hold the chunk until clients make
-                // room (a chunk larger than the shard's share of
-                // the reservoir is admitted alone).
-                ++home.producer_waits;
-                // Counted across the wait: every wake re-acquires the
-                // mutex, and those re-acquisitions must not lose to
-                // the dispatcher's serve loop forever either.
-                home.lock_waiters.fetch_add(1, std::memory_order_acq_rel);
-                home.space_cv.wait(lock, [&] {
+            std::unique_lock<std::mutex> lock(mu_);
+            // Backpressure, admitted in arrival order: every push takes
+            // a ticket and waits until all earlier tickets have pushed
+            // and its chunk fits (a chunk larger than the reservoir is
+            // admitted alone). Without the order, a fast member retakes
+            // each freed slot and a slow one can wait out the run.
+            const std::uint64_t ticket = next_ticket_++;
+            const auto admitted = [&] {
+                return ticket == admit_ticket_ &&
+                       (reservoir_.empty() ||
+                        reservoir_.size() + chunk->size() <=
+                            config_.reservoir_bits);
+            };
+            if (!admitted()) {
+                ++producer_waits_;
+                space_cv_.wait(lock, [&] {
                     return closing_.load(std::memory_order_acquire) ||
-                           home.reservoir.empty() ||
-                           home.reservoir.size() + chunk->size() <=
-                               home.capacity_bits;
+                           admitted();
                 });
-                home.lock_waiters.fetch_sub(1, std::memory_order_acq_rel);
             }
             if (closing_.load(std::memory_order_acquire))
                 return true;
+            ++admit_ticket_;
+            if (next_ticket_ != admit_ticket_)
+                space_cv_.notify_all(); // The next ticket may fit too.
+
             const std::size_t pushed = chunk->size();
-            home.reservoir.push(std::move(*chunk));
-            home.high_watermark = std::max(home.high_watermark,
-                                           home.reservoir.size());
-            home.harvested_bits += pushed;
+            reservoir_.push(std::move(*chunk));
+            high_watermark_ = std::max(high_watermark_, reservoir_.size());
+            harvested_bits_ += pushed;
             ++m.chunks;
             m.bits += pushed;
             if (config_.adaptive_chunking &&
                 ++since_adapt >= config_.adapt_interval_chunks) {
                 since_adapt = 0;
-                new_chunk_bits = adaptedChunkBits(home, m);
+                new_chunk_bits = adaptedChunkBits(m);
             }
-            home.work_cv.notify_one();
+            work_cv_.notify_one();
         }
-        // Applied outside the shard lock: only this worker touches
-        // its source, so no lock is needed.
+        // Applied outside the lock: only this worker touches its
+        // source.
         if (new_chunk_bits != 0)
             m.source->setChunkBits(new_chunk_bits);
     }
 }
 
 bool
-Service::sleepUnlessClosing(int ms) const
-{
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (closing_.load(std::memory_order_acquire))
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return !closing_.load(std::memory_order_acquire);
-}
-
-bool
-Service::runProbation(Member &m, Shard &home)
+Service::runProbation(Member &m)
 {
     int attempts = 0;
     while (!closing_.load(std::memory_order_acquire)) {
@@ -468,14 +371,19 @@ Service::runProbation(Member &m, Shard &home)
         } catch (...) {
             // The session being torn down owns its producer errors.
         }
-        if (!sleepUnlessClosing(config_.probation_delay_ms))
-            return false;
-        ++attempts;
         {
-            const std::unique_lock<std::mutex> lock = fairLock(home);
+            std::unique_lock<std::mutex> lock(mu_);
+            if (space_cv_.wait_for(
+                    lock,
+                    std::chrono::milliseconds(config_.probation_delay_ms),
+                    [this] {
+                        return closing_.load(std::memory_order_acquire);
+                    }))
+                return false;
             m.probation = true;
             ++m.probation_attempts;
         }
+        ++attempts;
         bool clean = true;
         int windows = 0;
         try {
@@ -492,7 +400,7 @@ Service::runProbation(Member &m, Shard &home)
                 // Probation output is counted but *discarded*: none
                 // of it ever reaches the reservoir.
                 {
-                    const std::unique_lock<std::mutex> lock = fairLock(home);
+                    const std::lock_guard<std::mutex> lock(mu_);
                     ++m.probation_chunks;
                     m.probation_bits += chunk->size();
                 }
@@ -510,7 +418,7 @@ Service::runProbation(Member &m, Shard &home)
         if (clean)
             return true;
         {
-            const std::unique_lock<std::mutex> lock = fairLock(home);
+            const std::lock_guard<std::mutex> lock(mu_);
             m.probation = false;
         }
         if (config_.max_probation_attempts > 0 &&
@@ -521,16 +429,22 @@ Service::runProbation(Member &m, Shard &home)
 }
 
 std::size_t
-Service::adaptedChunkBits(Shard &shard, Member &member)
+Service::adaptedChunkBits(Member &member)
 {
-    // Two pressure signals pick the direction: the home shard's fill
+    // Two pressure signals pick the direction: the reservoir's fill
     // fraction (clients vs. pool) and the source's own hand-off queue
     // (harvest threads vs. this worker). A starved reservoir wants
     // throughput, so chunks grow to amortize per-chunk hand-off cost;
     // a saturated reservoir or source queue means production is ahead,
-    // so chunks shrink back toward low-latency fine grain.
-    const double fill = static_cast<double>(shard.reservoir.size()) /
-                        static_cast<double>(shard.capacity_bits);
+    // so chunks shrink back toward low-latency fine grain. Fill is
+    // measured against the member's share of the reservoir: against
+    // the whole of it, members of a multi-member pool see it emptier
+    // than it is for them and grow chunks past what read latency and
+    // per-chunk command-trace memory can afford.
+    const std::size_t share = std::max<std::size_t>(
+        1, config_.reservoir_bits / members_.size());
+    const double fill = static_cast<double>(reservoir_.size()) /
+                        static_cast<double>(share);
     const BackpressureStats bp = member.source->backpressure();
     const bool source_saturated =
         bp.queue_capacity > 0 && bp.queue_depth >= bp.queue_capacity;
@@ -543,266 +457,172 @@ Service::adaptedChunkBits(Shard &shard, Member &member)
     if (next == member.chunk_bits)
         return 0;
     if (next > member.chunk_bits)
-        ++shard.chunk_grows;
+        ++chunk_grows_;
     else
-        ++shard.chunk_shrinks;
+        ++chunk_shrinks_;
     member.chunk_bits = next;
     return next;
 }
 
 void
-Service::dispatcherLoop(std::size_t shard_idx)
+Service::dispatcherLoop()
 {
-    Shard &sh = *shards_[shard_idx];
-    std::unique_lock<std::mutex> lock(sh.mu);
+    std::unique_lock<std::mutex> lock(mu_);
     while (!closing_.load(std::memory_order_acquire)) {
-        while (serveRound(sh))
-            yieldToWaiters(sh, lock);
-
-        if (sh.pending_requests == 0) {
-            sh.work_cv.wait(lock, [&] {
-                return closing_.load(std::memory_order_acquire) ||
-                       sh.pending_requests > 0;
-            });
+        std::vector<Take> takes = popRound();
+        if (!takes.empty()) {
+            lock.unlock();
+            for (Take &take : takes)
+                condition(take);
+            lock.lock();
+            for (Take &take : takes)
+                deliver(take);
+            // Wake producers only after delivery, and only once the
+            // freed space could take a chunk: a woken producer takes
+            // the lock that submit() and deliveries need, so early or
+            // futile wake-ups land on read latency.
+            if (reservoir_.empty() ||
+                reservoir_.size() + config_.min_chunk_bits <=
+                    config_.reservoir_bits)
+                space_cv_.notify_all();
             continue;
         }
 
-        // Outstanding demand and (post-serve) a dry reservoir. First
-        // try to steal a refill from another shard -- this is both the
-        // load balancer and the failover path for sessions homed on a
-        // shard whose members all got quarantined.
-        if (shards_.size() > 1) {
-            const std::size_t want = sh.capacity_bits;
-            steals_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-            lock.unlock();
-            util::BitStream loot = stealFor(shard_idx, want);
-            lock.lock();
-            if (!loot.empty()) {
-                ++sh.steals;
-                sh.stolen_bits += loot.size();
-                sh.reservoir.push(std::move(loot));
-                sh.high_watermark = std::max(sh.high_watermark,
-                                             sh.reservoir.size());
-                steals_in_flight_.fetch_sub(1,
-                                            std::memory_order_acq_rel);
-                steal_generation_.fetch_add(1,
-                                            std::memory_order_release);
-                continue; // Serve the refill.
-            }
-            steals_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-
-        if (live_workers_.load(std::memory_order_acquire) == 0 &&
-            recovering_workers_.load(std::memory_order_acquire) == 0) {
-            lock.unlock();
-            const bool exhausted = supplyExhausted();
-            lock.lock();
-            if (closing_.load(std::memory_order_acquire))
-                break;
-            if (exhausted && sh.reservoir.empty()) {
-                // Supply is gone for good: flush session pipelines (a
-                // stateful stage may still hold a tail), then fail
-                // whatever cannot complete.
-                for (auto &[id, state] : sh.sessions) {
-                    if (state->has_pipeline && !state->flushed) {
-                        state->flushed = true;
-                        state->buffer.push(state->pipeline.finish());
-                        completeReady(sh, *state);
-                    }
+        const bool supply_gone = live_workers_ == 0 &&
+                                 recovering_workers_ == 0 &&
+                                 reservoir_.empty();
+        if (pending_requests_ > 0 && supply_gone) {
+            // Flush session pipelines (a stateful stage may still hold
+            // a tail), then fail whatever cannot complete.
+            for (auto &[id, state] : sessions_) {
+                if (state->has_pipeline && !state->flushed) {
+                    state->flushed = true;
+                    state->buffer.push(state->pipeline.finish());
+                    completeReady(*state);
                 }
-                for (auto &[id, state] : sh.sessions)
-                    failRequests(sh, *state,
-                                 "entropy service: every pool member "
-                                 "is quarantined or exhausted");
-                continue;
             }
-            if (!sh.reservoir.empty())
-                continue; // A steal landed mid-check: serve it.
-        }
-
-        // Bits may arrive from our own workers (notified) or pile up
-        // in other shards (not notified -- hence the timeout, which
-        // paces the steal retries while we starve).
-        sh.work_cv.wait_for(
-            lock, std::chrono::milliseconds(1), [&] {
-                return closing_.load(std::memory_order_acquire) ||
-                       !sh.reservoir.empty() ||
-                       sh.pending_requests == 0;
-            });
-    }
-    for (auto &[id, state] : sh.sessions)
-        failRequests(sh, *state, "entropy service closed");
-}
-
-util::BitStream
-Service::stealFor(std::size_t home_idx, std::size_t max_bits)
-{
-    // Probe sizes first (one victim lock at a time, never two), then
-    // raid the fullest victim. The second lock re-reads the size: the
-    // probe is only a heuristic and the victim may have drained.
-    std::size_t best = shards_.size();
-    std::size_t best_size = 0;
-    for (std::size_t v = 0; v < shards_.size(); ++v) {
-        if (v == home_idx)
+            for (auto &[id, state] : sessions_)
+                failRequests(*state, "entropy service: every pool member "
+                                     "is quarantined or exhausted");
             continue;
-        const std::unique_lock<std::mutex> lock = fairLock(*shards_[v]);
-        if (shards_[v]->reservoir.size() > best_size) {
-            best_size = shards_[v]->reservoir.size();
-            best = v;
         }
-    }
-    if (best == shards_.size())
-        return {};
 
-    Shard &victim = *shards_[best];
-    const std::unique_lock<std::mutex> lock = fairLock(victim);
-    const std::size_t avail = victim.reservoir.size();
-    if (avail == 0)
-        return {};
-    // A victim with pending demand of its own keeps at least half;
-    // an idle one yields everything (its workers keep producing, and
-    // it can steal back if demand arrives).
-    std::size_t grab =
-        victim.pending_requests > 0 ? avail - avail / 2 : avail;
-    grab = std::min(grab, max_bits);
-    if (grab == 0)
-        return {};
-    util::BitStream loot = victim.reservoir.pop(grab);
-    victim.space_cv.notify_all();
-    return loot;
+        work_cv_.wait(lock, [&] {
+            return closing_.load(std::memory_order_acquire) ||
+                   (pending_requests_ > 0 &&
+                    (!reservoir_.empty() ||
+                     (live_workers_ == 0 && recovering_workers_ == 0)));
+        });
+    }
+    for (auto &[id, state] : sessions_)
+        failRequests(*state, "entropy service closed");
 }
 
-bool
-Service::supplyExhausted() const
+std::vector<Service::Take>
+Service::popRound()
 {
-    // Terminal only if every reservoir is empty AND no steal holds
-    // bits in hand mid-move. The generation re-check closes the
-    // window where a steal starts after the in-flight probe and
-    // finishes before the scan does: any bits moved during the scan
-    // bump the generation.
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        if (steals_in_flight_.load(std::memory_order_acquire) != 0)
-            return false;
-        const std::uint64_t gen =
-            steal_generation_.load(std::memory_order_acquire);
-        bool all_empty = true;
-        for (const auto &shard : shards_) {
-            const std::unique_lock<std::mutex> lock = fairLock(*shard);
-            if (!shard->reservoir.empty()) {
-                all_empty = false;
-                break;
-            }
-        }
-        if (!all_empty)
-            return false;
-        if (steals_in_flight_.load(std::memory_order_acquire) == 0 &&
-            steal_generation_.load(std::memory_order_acquire) == gen)
-            return true;
-    }
-    return false;
-}
-
-bool
-Service::serveRound(Shard &sh)
-{
-    if (sh.sessions.empty() || sh.reservoir.empty())
-        return false;
-    bool any = false;
-
-    // One visit per session, resuming after the session served last so
-    // a reservoir that drains mid-round does not starve high ids.
-    std::vector<detail::SessionState *> order;
-    order.reserve(sh.sessions.size());
-    for (auto it = sh.sessions.upper_bound(sh.drr_cursor);
-         it != sh.sessions.end(); ++it)
-        order.push_back(it->second.get());
-    for (auto it = sh.sessions.begin();
-         it != sh.sessions.end() && it->first <= sh.drr_cursor; ++it)
-        order.push_back(it->second.get());
-
-    for (detail::SessionState *sp : order) {
+    std::vector<Take> takes;
+    const auto visit = [&](const std::shared_ptr<detail::SessionState> &sp) {
         detail::SessionState &s = *sp;
-        if (sh.reservoir.empty())
-            break;
         if (!s.healthy)
-            continue; // Alarmed: its reads already failed.
+            return; // Alarmed: its reads already failed.
         if (s.requests.empty()) {
             s.deficit = 0; // Standard DRR: idle queues bank nothing.
-            continue;
+            return;
         }
         const std::size_t buffered = s.buffer.size();
         const std::size_t outstanding =
             s.demand_bits > buffered ? s.demand_bits - buffered : 0;
         if (outstanding == 0)
-            continue;
+            return;
         s.deficit +=
             config_.quantum_bits * static_cast<std::size_t>(s.weight);
         // Conditioning may need more input than `outstanding` output
         // bits (von Neumann eats ~4x); later rounds provide it.
         const std::size_t take =
-            std::min({s.deficit, sh.reservoir.size(), outstanding});
-        if (take == 0)
-            continue;
-
-        util::BitStream in = sh.reservoir.pop(take);
-        sh.space_cv.notify_all();
+            std::min({s.deficit, reservoir_.size(), outstanding});
         s.deficit -= take;
         s.consumed_bits += take;
-        sh.distributed_bits += take;
-        util::BitStream out = s.has_pipeline
-                                  ? s.pipeline.process(std::move(in))
-                                  : std::move(in);
-        if (s.has_pipeline && !s.pipeline.healthy()) {
-            // The session's own health stage latched an alarm: the
-            // stream serving this client is suspect, so drop the
-            // alarming output and everything buffered, fail its
-            // reads, and refuse new ones (submit checks healthy).
-            // Pool members keep serving the other sessions.
-            s.healthy = false;
-            s.buffer.clear();
-            failRequests(sh, s,
-                         "entropy service session: SP 800-90B "
-                         "health alarm in the session's "
-                         "conditioning pipeline");
-            sh.drr_cursor = s.id;
-            any = true;
-            continue;
-        }
-        s.buffer.push(std::move(out));
-        completeReady(sh, s);
-        sh.drr_cursor = s.id;
-        any = true;
-    }
-    return any;
+        distributed_bits_ += take;
+        drr_cursor_ = s.id;
+        takes.push_back(Take{sp, reservoir_.pop(take)});
+    };
+
+    // One visit per session, resuming after the session served last so
+    // a reservoir that drains mid-round does not starve high ids.
+    const int cursor = drr_cursor_;
+    for (auto it = sessions_.upper_bound(cursor);
+         it != sessions_.end() && !reservoir_.empty(); ++it)
+        visit(it->second);
+    for (auto it = sessions_.begin(); it != sessions_.end() &&
+                                      it->first <= cursor &&
+                                      !reservoir_.empty();
+         ++it)
+        visit(it->second);
+    return takes;
 }
 
 void
-Service::completeReady(Shard &sh, detail::SessionState &state)
+Service::condition(Take &take)
+{
+    detail::SessionState &s = *take.session;
+    if (!s.has_pipeline)
+        return;
+    take.bits = s.pipeline.process(std::move(take.bits));
+    take.alarmed = !s.pipeline.healthy();
+    for (const auto &stage : s.pipeline.accounting())
+        take.health_failures += stage.health_failures;
+}
+
+void
+Service::deliver(Take &take)
+{
+    detail::SessionState &s = *take.session;
+    if (!s.open)
+        return; // Closed while conditioning: drop the take.
+    s.health_failures = take.health_failures;
+    if (take.alarmed) {
+        // The session's own health stage latched an alarm: the stream
+        // serving this client is suspect, so drop the alarming output
+        // and everything buffered, fail its reads, and refuse new ones
+        // (submit checks healthy). Pool members keep serving the other
+        // sessions.
+        s.healthy = false;
+        s.buffer.clear();
+        failRequests(s, "entropy service session: SP 800-90B health "
+                        "alarm in the session's conditioning pipeline");
+        return;
+    }
+    s.buffer.push(std::move(take.bits));
+    completeReady(s);
+}
+
+void
+Service::completeReady(detail::SessionState &state)
 {
     while (!state.requests.empty() &&
            state.buffer.size() >= state.requests.front()->want) {
         std::unique_ptr<detail::ReadRequest> req =
             std::move(state.requests.front());
         state.requests.pop_front();
-        --sh.pending_requests;
+        --pending_requests_;
         state.demand_bits -= req->want;
         util::BitStream bits = state.buffer.pop(req->want);
         state.delivered_bits += bits.size();
-        sh.delivered_bits += bits.size();
+        delivered_bits_ += bits.size();
         ++state.reads;
         req->promise.set_value(std::move(bits));
     }
 }
 
 void
-Service::failRequests(Shard &sh, detail::SessionState &state,
-                      const std::string &why)
+Service::failRequests(detail::SessionState &state, const std::string &why)
 {
     while (!state.requests.empty()) {
         std::unique_ptr<detail::ReadRequest> req =
             std::move(state.requests.front());
         state.requests.pop_front();
-        --sh.pending_requests;
+        --pending_requests_;
         state.demand_bits -= req->want;
         req->promise.set_exception(
             std::make_exception_ptr(std::runtime_error(why)));
@@ -823,17 +643,11 @@ Service::open(SessionConfig config)
         makePipeline(config.conditioning, config.stage_params);
     state->pipeline.reset();
 
-    // Home shard round-robin over open() order; the id is global so
-    // session ids stay unique and monotonic across shards.
-    state->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-    state->shard = next_session_shard_.fetch_add(
-                       1, std::memory_order_relaxed) %
-                   shards_.size();
-    Shard &sh = *shards_[state->shard];
-    const std::unique_lock<std::mutex> lock = fairLock(sh);
+    const std::lock_guard<std::mutex> lock(mu_);
     if (closing_.load(std::memory_order_acquire))
         throw std::logic_error("Service::open: service is closed");
-    sh.sessions.emplace(state->id, state);
+    state->id = next_session_id_++;
+    sessions_.emplace(state->id, state);
     return Session(this, std::move(state));
 }
 
@@ -845,8 +659,7 @@ Service::submit(const std::shared_ptr<detail::SessionState> &state,
     req->want = num_bits;
     std::future<util::BitStream> future = req->promise.get_future();
 
-    Shard &sh = *shards_[state->shard];
-    const std::unique_lock<std::mutex> lock = fairLock(sh);
+    const std::lock_guard<std::mutex> lock(mu_);
     if (closing_.load(std::memory_order_acquire) || !state->open) {
         req->promise.set_exception(std::make_exception_ptr(
             std::runtime_error("entropy service session is closed")));
@@ -861,12 +674,12 @@ Service::submit(const std::shared_ptr<detail::SessionState> &state,
     }
     state->requests.push_back(std::move(req));
     state->demand_bits += num_bits;
-    ++sh.pending_requests;
+    ++pending_requests_;
     // Leftover conditioned bits from an earlier round may already
     // cover the request (and num_bits == 0 always completes here).
-    completeReady(sh, *state);
-    if (sh.pending_requests > 0)
-        sh.work_cv.notify_one();
+    completeReady(*state);
+    if (pending_requests_ > 0)
+        work_cv_.notify_one();
     return future;
 }
 
@@ -874,8 +687,7 @@ SessionStats
 Service::sessionStats(
     const std::shared_ptr<detail::SessionState> &state) const
 {
-    const std::unique_lock<std::mutex> lock =
-        fairLock(*shards_[state->shard]);
+    const std::lock_guard<std::mutex> lock(mu_);
     SessionStats out;
     out.id = state->id;
     out.priority = state->weight;
@@ -884,8 +696,7 @@ Service::sessionStats(
     out.reads = state->reads;
     out.buffered_bits = state->buffer.size();
     out.healthy = state->healthy;
-    for (const auto &stage : state->pipeline.accounting())
-        out.health_failures += stage.health_failures;
+    out.health_failures = state->health_failures;
     return out;
 }
 
@@ -893,29 +704,22 @@ void
 Service::closeSession(
     const std::shared_ptr<detail::SessionState> &state)
 {
-    Shard &sh = *shards_[state->shard];
-    const std::unique_lock<std::mutex> lock = fairLock(sh);
+    const std::lock_guard<std::mutex> lock(mu_);
     if (!state->open)
         return;
     state->open = false;
-    failRequests(sh, *state, "entropy service session closed");
+    failRequests(*state, "entropy service session closed");
     state->buffer.clear();
-    sh.sessions.erase(state->id);
-    // Dropping a big consumer may unblock producers' space waits.
-    sh.space_cv.notify_all();
+    sessions_.erase(state->id);
 }
 
 ServiceStats
 Service::stats() const
 {
-    // One shard lock at a time (stealing obeys the same rule, so
-    // there is no ordering to violate); the snapshot is per-shard
-    // consistent, globally approximate -- like any live counter read.
+    const std::lock_guard<std::mutex> lock(mu_);
     ServiceStats out;
     out.members.reserve(members_.size());
     for (const auto &member : members_) {
-        const std::unique_lock<std::mutex> lock =
-            fairLock(*shards_[member->shard]);
         MemberStats ms;
         ms.label = member->label;
         ms.source = member->source_name;
@@ -937,55 +741,35 @@ Service::stats() const
         out.reinstatements += ms.reinstatements;
         out.members.push_back(std::move(ms));
     }
-    out.healthy_members = live_workers_.load(std::memory_order_acquire);
-    out.shards.reserve(shards_.size());
-    for (const auto &shard : shards_) {
-        const std::unique_lock<std::mutex> lock = fairLock(*shard);
-        ShardStats ss;
-        ss.members = shard->member_count;
-        ss.sessions = shard->sessions.size();
-        ss.pending_requests = shard->pending_requests;
-        ss.reservoir_bits = shard->reservoir.size();
-        ss.reservoir_capacity = shard->capacity_bits;
-        ss.reservoir_high_watermark = shard->high_watermark;
-        ss.harvested_bits = shard->harvested_bits;
-        ss.distributed_bits = shard->distributed_bits;
-        ss.steals = shard->steals;
-        ss.stolen_bits = shard->stolen_bits;
-
-        out.open_sessions += ss.sessions;
-        out.pending_requests += ss.pending_requests;
-        out.reservoir_bits += ss.reservoir_bits;
-        out.reservoir_capacity += ss.reservoir_capacity;
-        out.reservoir_high_watermark += ss.reservoir_high_watermark;
-        out.harvested_bits += ss.harvested_bits;
-        out.distributed_bits += ss.distributed_bits;
-        out.delivered_bits += shard->delivered_bits;
-        out.producer_waits += shard->producer_waits;
-        out.chunk_grows += shard->chunk_grows;
-        out.chunk_shrinks += shard->chunk_shrinks;
-        out.steals += ss.steals;
-        out.stolen_bits += ss.stolen_bits;
-        out.shards.push_back(std::move(ss));
-    }
+    out.healthy_members = live_workers_;
+    out.open_sessions = sessions_.size();
+    out.pending_requests = pending_requests_;
+    out.reservoir_bits = reservoir_.size();
+    out.reservoir_capacity = config_.reservoir_bits;
+    out.reservoir_high_watermark = high_watermark_;
+    out.harvested_bits = harvested_bits_;
+    out.distributed_bits = distributed_bits_;
+    out.delivered_bits = delivered_bits_;
+    out.producer_waits = producer_waits_;
+    out.chunk_grows = chunk_grows_;
+    out.chunk_shrinks = chunk_shrinks_;
     return out;
 }
 
 void
 Service::close()
 {
-    closing_.store(true, std::memory_order_release);
-    for (const auto &shard : shards_) {
-        const std::unique_lock<std::mutex> lock = fairLock(*shard);
-        shard->work_cv.notify_all();
-        shard->space_cv.notify_all();
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        closing_.store(true, std::memory_order_release);
+        work_cv_.notify_all();
+        space_cv_.notify_all();
     }
     for (auto &member : members_)
         if (member->worker.joinable())
             member->worker.join();
-    for (const auto &shard : shards_)
-        if (shard->dispatcher.joinable())
-            shard->dispatcher.join();
+    if (dispatcher_.joinable())
+        dispatcher_.join();
     for (auto &member : members_) {
         try {
             member->source->stop();

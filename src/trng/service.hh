@@ -8,11 +8,18 @@
  * one session. trng::Service turns that into a serving pipeline. It
  * owns a pool of sources (any mix of backends/channels, each built via
  * Registry::make from a PoolMemberConfig), pumps every member's
- * streaming session on its own worker thread into a shared
- * conditioned-bit reservoir, and serves any number of concurrent
- * client sessions (Service::open -> trng::Session) from that
- * reservoir with deficit-round-robin fairness weighted by session
- * priority.
+ * streaming session on its own worker thread into one shared bounded
+ * reservoir, and serves any number of concurrent client sessions
+ * (Service::open -> trng::Session) from that reservoir with
+ * deficit-round-robin fairness weighted by session priority.
+ *
+ * One mutex guards the reservoir, the session queues, and the member
+ * and lifecycle counters, and it is only ever held for bookkeeping.
+ * The one dispatcher thread pops a DRR round's takes under it, runs
+ * the sessions' conditioning pipelines with it released (only the
+ * dispatcher touches a pipeline), and re-locks to deliver. A slow
+ * conditioning stage therefore stalls no producer, submit() or
+ * stats(), and a session closed mid-conditioning just drops its take.
  *
  * Three serving-pipeline behaviors live here:
  *
@@ -20,7 +27,9 @@
  *    chunk when the reservoir runs dry (throughput-bound: fewer,
  *    larger hand-offs) and shrinks it when the reservoir or the
  *    source's internal ChunkQueue saturates (latency-bound: finer
- *    grain), between ServiceConfig::{min,max}_chunk_bits.
+ *    grain), between ServiceConfig::{min,max}_chunk_bits. Fill is
+ *    measured against the member's share of the reservoir
+ *    (reservoir_bits / pool size).
  *  - Health failover: a pool member whose SP 800-90B health stage
  *    alarms (EntropySource::healthy() turning false) is quarantined --
  *    its alarming chunk is dropped and its worker stops feeding the
@@ -36,19 +45,9 @@
  *  - Backpressure: the reservoir is bounded, so harvesting never runs
  *    ahead of client demand by more than ServiceConfig::reservoir_bits
  *    (workers block, which in turn blocks the sources' own producer
- *    threads through their internal queues).
- *
- * The reservoir is sharded (ServiceConfig::shards, default one shard
- * per pool member): each shard owns its own mutex, BitFifo, DRR
- * dispatcher thread, and a subset of pool members and sessions, so
- * aggregate throughput scales with the pool instead of funneling
- * through one lock. A shard whose reservoir runs dry while it has
- * outstanding demand steals bits from the fullest other shard
- * (work-stealing refill; a victim with pending demand of its own
- * yields at most half), which is also how sessions homed on a shard
- * whose only member got quarantined keep being served. Fairness and
- * quarantine/failover semantics are per shard; requests fail only
- * when every worker has stopped and every shard's reservoir is empty.
+ *    threads through their internal queues). Blocked workers are
+ *    admitted in arrival order, so a fast member cannot keep retaking
+ *    the freed space while a slower one waits.
  *
  * A Service with a one-member pool is the old single-consumer path
  * behind the new API (see Service's convenience constructor). The
@@ -113,23 +112,6 @@ struct ServiceConfig
     /** Re-evaluate a member's chunk size every this many chunks. */
     int adapt_interval_chunks = 4;
 
-    /**
-     * Reservoir shards. Members and sessions are assigned home shards
-     * round-robin; each shard gets reservoir_bits / shards capacity
-     * and its own dispatcher. 0 (the default) means one shard per
-     * pool member; values above the pool size are clamped down to it
-     * (a shard with no member would live off stealing alone).
-     */
-    std::size_t shards = 0;
-
-    /**
-     * > 0: forwarded as the "conditioning_workers" Params key to every
-     * "streaming"-source pool member that does not set it explicitly,
-     * so one [service] knob turns on parallel conditioning across the
-     * pool. 0 leaves member params untouched.
-     */
-    int conditioning_workers = 0;
-
     // ------------------------------------------ probation lifecycle
     /**
      * Quarantined members re-profile and rejoin after clean probation
@@ -178,28 +160,10 @@ struct MemberStats
     std::uint64_t probation_bits = 0;   //!< Discarded, never served.
 };
 
-/** Snapshot of one reservoir shard inside ServiceStats. */
-struct ShardStats
-{
-    std::size_t members = 0;  //!< Pool members homed on this shard.
-    std::size_t sessions = 0; //!< Sessions homed on this shard.
-    std::size_t pending_requests = 0;
-
-    std::uint64_t reservoir_bits = 0; //!< Buffered right now.
-    std::uint64_t reservoir_capacity = 0;
-    std::uint64_t reservoir_high_watermark = 0;
-
-    std::uint64_t harvested_bits = 0;   //!< Pushed by home workers.
-    std::uint64_t distributed_bits = 0; //!< Popped for home sessions.
-    std::uint64_t steals = 0;      //!< Refills stolen from others.
-    std::uint64_t stolen_bits = 0; //!< Bits those refills brought in.
-};
-
 /** Aggregate service measurements (all totals since construction). */
 struct ServiceStats
 {
     std::vector<MemberStats> members;
-    std::vector<ShardStats> shards; //!< Per-shard breakdown.
     int healthy_members = 0;      //!< Members feeding the reservoir.
     int quarantined_members = 0;  //!< Quarantined (incl. probation).
     int probation_members = 0;    //!< Pumping a probation stream.
@@ -218,8 +182,13 @@ struct ServiceStats
                                         //!< reservoir (backpressure).
     std::uint64_t chunk_grows = 0;      //!< Adaptive grow steps.
     std::uint64_t chunk_shrinks = 0;    //!< Adaptive shrink steps.
-    std::uint64_t steals = 0;           //!< Cross-shard refills.
-    std::uint64_t stolen_bits = 0;      //!< Bits moved by steals.
+
+    /** Always 0: there is one reservoir, so no bits move between
+     * reservoirs. Kept so readers that report them (servicebench's
+     * service.stolen_frac and service.steals_per_mbit) still build and
+     * read a defined value. */
+    std::uint64_t steals = 0;
+    std::uint64_t stolen_bits = 0;
 };
 
 namespace detail {
@@ -254,17 +223,19 @@ struct ReadRequest
 };
 
 /** Service-side state of one session; shared with the Session handle.
- * Everything here is guarded by the home shard's mutex. */
+ * Everything here is guarded by the service mutex except `pipeline`,
+ * which only the dispatcher touches (with the mutex released). */
 struct SessionState
 {
     int id = 0;
-    std::size_t shard = 0; //!< Home shard index (fixed at open()).
     int weight = 1;
     bool open = true;
     bool has_pipeline = false;
     bool flushed = false; //!< Pipeline tail emitted at supply end.
     bool healthy = true;  //!< False once the session's own pipeline
                           //!< (e.g. a "health" stage) latched an alarm.
+    std::uint64_t health_failures = 0; //!< Pipeline alarms, copied from
+                                       //!< the pipeline at delivery.
     ConditioningPipeline pipeline;
 
     BitFifo buffer; //!< Conditioned bits awaiting requests.
@@ -309,7 +280,6 @@ class Service
     ServiceStats stats() const;
 
     std::size_t poolSize() const { return members_.size(); }
-    std::size_t shardCount() const { return shards_.size(); }
 
     /** Stop harvesting and fail outstanding requests. Idempotent; the
      * destructor calls it. Open Session handles remain safe to close
@@ -325,9 +295,8 @@ class Service
         std::string source_name;
         std::unique_ptr<EntropySource> source;
         std::thread worker;
-        std::size_t shard = 0; //!< Home shard (fixed at construction).
 
-        // Guarded by the home shard's mu.
+        // Guarded by mu_.
         std::uint64_t chunks = 0;
         std::uint64_t bits = 0;
         std::size_t chunk_bits = 0;
@@ -341,67 +310,23 @@ class Service
         std::uint64_t probation_bits = 0;
     };
 
-    /**
-     * One reservoir shard: its own lock, BitFifo, DRR dispatcher, and
-     * the sessions/members homed on it. Cross-shard interaction is
-     * limited to work stealing, which never holds two shard mutexes
-     * at once (pop from the victim under its lock, push home under
-     * ours), so there is no lock ordering to get wrong.
-     */
-    struct Shard
+    /** Reservoir bits popped for one session in one DRR round, carried
+     * through the session's pipeline with mu_ released. */
+    struct Take
     {
-        mutable std::mutex mu;
-        /** Threads parked on mu (or re-acquiring it inside a cv
-         * wait). std::mutex is not fair: the dispatcher's serve loop
-         * re-locks fast enough that a parked producer or probation
-         * thread can lose the wake race indefinitely (observed as a
-         * worker starved for the whole run). The dispatcher checks
-         * this count and opens an unlocked window when it is
-         * nonzero; every non-dispatcher acquisition goes through
-         * fairLock() so it is counted. */
-        mutable std::atomic<int> lock_waiters{0};
-        std::condition_variable work_cv;  //!< Wakes the dispatcher.
-        std::condition_variable space_cv; //!< Wakes blocked workers.
-        std::thread dispatcher;
-        std::size_t capacity_bits = 0; //!< reservoir_bits / shards.
-        std::size_t member_count = 0;  //!< Members homed here.
-
-        // Everything below is guarded by mu.
-        detail::BitFifo reservoir;
-        std::size_t high_watermark = 0;
-        int drr_cursor = 0; //!< Last session id served; rounds resume
-                            //!< after it so a drained reservoir does
-                            //!< not starve high ids.
-        std::map<int, std::shared_ptr<detail::SessionState>> sessions;
-        std::size_t pending_requests = 0;
-        std::uint64_t harvested_bits = 0;
-        std::uint64_t distributed_bits = 0;
-        std::uint64_t delivered_bits = 0;
-        std::uint64_t producer_waits = 0;
-        std::uint64_t chunk_grows = 0;
-        std::uint64_t chunk_shrinks = 0;
-        std::uint64_t steals = 0;      //!< Refills stolen into here.
-        std::uint64_t stolen_bits = 0; //!< Bits those refills moved.
+        std::shared_ptr<detail::SessionState> session;
+        util::BitStream bits;
+        bool alarmed = false; //!< The pipeline latched a health alarm.
+        std::uint64_t health_failures = 0;
     };
-
-    /** Acquire a shard's mutex as a counted waiter (see
-     * Shard::lock_waiters). Everything except the shard's own
-     * dispatcher must lock through this. */
-    static std::unique_lock<std::mutex> fairLock(const Shard &shard);
-
-    /** Dispatcher-side half of the fairness pact: when counted
-     * waiters are parked on the shard mutex, release it and sleep
-     * briefly unlocked so they actually get scheduled in. */
-    static void yieldToWaiters(const Shard &shard,
-                               std::unique_lock<std::mutex> &lock);
 
     void workerLoop(std::size_t member_idx);
 
-    /** Serving loop of one member: pump chunks into the home
-     * reservoir until the source ends (true) or its health gate trips
-     * (false -- the alarming chunk is dropped). The streaming session
-     * must already be open. */
-    bool pumpMember(Member &m, Shard &home);
+    /** Serving loop of one member: pump chunks into the reservoir
+     * until the source ends (true) or its health gate trips (false --
+     * the alarming chunk is dropped). The streaming session must
+     * already be open. */
+    bool pumpMember(Member &m);
 
     /**
      * Quarantine recovery: repeatedly cool off, restart the source
@@ -410,43 +335,28 @@ class Service
      * come back clean. True: the member may rejoin (its session is
      * open and healthy). False: closing, or attempts exhausted.
      */
-    bool runProbation(Member &m, Shard &home);
+    bool runProbation(Member &m);
 
-    /** Sliced sleep that returns false early once close() starts. */
-    bool sleepUnlessClosing(int ms) const;
+    void dispatcherLoop();
 
-    void dispatcherLoop(std::size_t shard_idx);
+    /** Pop one DRR round's takes from the reservoir (mu_ held). */
+    std::vector<Take> popRound();
 
-    /** One DRR round over @p shard with its mu held; true if any bits
-     * moved. */
-    bool serveRound(Shard &shard);
+    /** Run a take through its session's pipeline (mu_ released). */
+    static void condition(Take &take);
 
-    /**
-     * Steal up to half (all, if the victim has no pending demand of
-     * its own) of the fullest other shard's reservoir for @p home.
-     * Called with NO shard mutex held; locks one victim at a time.
-     * Empty result: nothing to steal anywhere right now.
-     */
-    util::BitStream stealFor(std::size_t home_idx,
-                             std::size_t max_bits);
+    /** Buffer a conditioned take and complete the requests it covers
+     * (mu_ held). */
+    void deliver(Take &take);
 
-    /**
-     * True when supply is gone for good: every worker stopped, every
-     * shard's reservoir empty, and no steal in flight that could make
-     * bits reappear. Called with NO shard mutex held.
-     */
-    bool supplyExhausted() const;
+    /** Pick the member's next chunk size (mu_ held); 0 = keep. */
+    std::size_t adaptedChunkBits(Member &member);
 
-    /** Pick the member's next chunk size (home mu held); 0 = keep. */
-    std::size_t adaptedChunkBits(Shard &shard, Member &member);
+    /** Complete every head request the buffer now covers (mu_ held). */
+    void completeReady(detail::SessionState &state);
 
-    /** Complete every head request the buffer now covers (home mu
-     * held). */
-    void completeReady(Shard &shard, detail::SessionState &state);
-
-    /** Fail a session's queued requests with @p why (home mu held). */
-    void failRequests(Shard &shard, detail::SessionState &state,
-                      const std::string &why);
+    /** Fail a session's queued requests with @p why (mu_ held). */
+    void failRequests(detail::SessionState &state, const std::string &why);
 
     // Session-handle API (via friend Session).
     std::future<util::BitStream>
@@ -460,19 +370,39 @@ class Service
 
     ServiceConfig config_;
     std::vector<std::unique_ptr<Member>> members_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-
     std::atomic<bool> closing_{false};
-    std::atomic<int> live_workers_{0};
+
+    mutable std::mutex mu_;
+    std::condition_variable work_cv_;  //!< Wakes the dispatcher.
+    std::condition_variable space_cv_; //!< Wakes blocked workers and
+                                       //!< probation cool-offs.
+
+    // Guarded by mu_.
+    detail::BitFifo reservoir_;
+    /** Producer admission tickets: a push takes next_ticket_ and
+     * waits until admit_ticket_ reaches it. */
+    std::uint64_t next_ticket_ = 0;
+    std::uint64_t admit_ticket_ = 0;
+    int live_workers_ = 0; //!< Members feeding the reservoir.
     /** Members inside the quarantine->probation lifecycle that may
      * still rejoin. While nonzero, pending reads wait for a
      * reinstatement instead of failing terminally. */
-    std::atomic<int> recovering_workers_{0};
-    std::atomic<int> next_session_id_{1};
-    std::atomic<std::size_t> next_session_shard_{0};
-    std::atomic<int> steals_in_flight_{0};   //!< Bits held mid-steal.
-    std::atomic<std::uint64_t> steal_generation_{0}; //!< Completed
-                                                     //!< steals.
+    int recovering_workers_ = 0;
+    int next_session_id_ = 1;
+    int drr_cursor_ = 0; //!< Last session id served; rounds resume
+                         //!< after it so a drained reservoir does not
+                         //!< starve high ids.
+    std::map<int, std::shared_ptr<detail::SessionState>> sessions_;
+    std::size_t pending_requests_ = 0;
+    std::size_t high_watermark_ = 0;
+    std::uint64_t harvested_bits_ = 0;
+    std::uint64_t distributed_bits_ = 0;
+    std::uint64_t delivered_bits_ = 0;
+    std::uint64_t producer_waits_ = 0;
+    std::uint64_t chunk_grows_ = 0;
+    std::uint64_t chunk_shrinks_ = 0;
+
+    std::thread dispatcher_; //!< Last: it uses every member above.
 };
 
 } // namespace drange::trng

@@ -273,8 +273,6 @@ class StreamingSource final : public EntropySource
             boundedInt(params, "validate_threads", 0, 0));
         stream_config_.validate_alpha = params.getDouble(
             "validate_alpha", stream_config_.validate_alpha);
-        stream_config_.conditioning_workers = static_cast<int>(
-            boundedInt(params, "conditioning_workers", 0, 0));
         stream_config_.conditioning = params.getList("conditioning");
         stream_config_.stage_params = params;
 

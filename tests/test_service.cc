@@ -4,8 +4,9 @@
  * trng::Session): deficit-round-robin fairness weighted by priority,
  * concurrent read/readAsync bit accounting (no loss, no duplication),
  * SP 800-90B health-alarm quarantine with failover, adaptive chunk
- * sizing, per-session conditioning profiles, and the config plumbing
- * (ServiceConfig::fromParams).
+ * sizing, per-session conditioning profiles, the lock discipline
+ * (conditioning runs outside the service lock), and the config
+ * plumbing (ServiceConfig::fromParams).
  *
  * Kept free of DRAM simulation so the ThreadSanitizer CI lane can run
  * the whole binary quickly: the pool members are two registered test
@@ -18,15 +19,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "trng/conditioning.hh"
 #include "trng/registry.hh"
 #include "trng/service.hh"
 #include "util/bitstream.hh"
@@ -175,6 +181,74 @@ counterValues(const BitStream &bits)
         out.push_back(bits.words()[w]);
     return out;
 }
+
+/** State of the "testlatch" stage: process() parks until opened. */
+struct Latch
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool open = false;
+};
+
+Latch &
+latch()
+{
+    static Latch instance;
+    return instance;
+}
+
+void
+resetLatch()
+{
+    const std::lock_guard<std::mutex> lock(latch().mu);
+    latch().entered = false;
+    latch().open = false;
+}
+
+void
+openLatch()
+{
+    const std::lock_guard<std::mutex> lock(latch().mu);
+    latch().open = true;
+    latch().cv.notify_all();
+}
+
+/** True once some thread is parked inside the latched stage. */
+bool
+waitForLatchEntry(std::chrono::seconds timeout)
+{
+    std::unique_lock<std::mutex> lock(latch().mu);
+    return latch().cv.wait_for(lock, timeout,
+                               [] { return latch().entered; });
+}
+
+/** Opens the latch when it goes out of scope, on every exit path. */
+struct LatchOpener
+{
+    ~LatchOpener() { openLatch(); }
+};
+
+/** Pass-through stage that blocks in process() until openLatch(). */
+class LatchStage final : public drange::trng::ConditioningStage
+{
+  public:
+    std::string name() const override { return "testlatch"; }
+    BitStream process(const BitStream &chunk) override
+    {
+        std::unique_lock<std::mutex> lock(latch().mu);
+        latch().entered = true;
+        latch().cv.notify_all();
+        latch().cv.wait(lock, [] { return latch().open; });
+        return chunk;
+    }
+};
+
+const bool kLatchRegistered = drange::trng::registerStage(
+    "testlatch",
+    [](const Params &) -> std::unique_ptr<drange::trng::ConditioningStage> {
+        return std::make_unique<LatchStage>();
+    });
 
 TEST(Service, PoolOfOneServesTheSingleConsumerPath)
 {
@@ -640,105 +714,41 @@ TEST(ServiceConfig, FromParamsParsesServiceAndPoolSections)
     EXPECT_EQ(session.read(4096).size(), 4096u);
 }
 
-TEST(Service, ShardsPartitionMembersAndSessionsRoundRobin)
+TEST(Service, SessionReadsPastABoundedMembersSupply)
 {
-    // Four members, default shards (= pool size): one member and one
-    // quarter of the reservoir per shard; sessions land round-robin.
-    ServiceConfig config;
-    for (int i = 0; i < 4; ++i)
-        config.pool.push_back(PoolMemberConfig{
-            "testcounter",
-            Params{{"chunk_bits", "8192"},
-                   {"start", std::to_string(i * 1000000)}},
-            std::string("m") + std::to_string(i)});
-    config.reservoir_bits = 1u << 18;
-    Service service(config);
-    EXPECT_EQ(service.shardCount(), 4u);
-
-    std::vector<Session> sessions;
-    for (int i = 0; i < 8; ++i)
-        sessions.push_back(service.open());
-    for (auto &session : sessions)
-        EXPECT_EQ(session.read(8192).size(), 8192u);
-
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 4u);
-    std::uint64_t capacity = 0, harvested = 0, distributed = 0;
-    for (const auto &shard : stats.shards) {
-        EXPECT_EQ(shard.members, 1u);
-        EXPECT_EQ(shard.sessions, 2u); // 8 sessions round-robin.
-        capacity += shard.reservoir_capacity;
-        harvested += shard.harvested_bits;
-        distributed += shard.distributed_bits;
-    }
-    EXPECT_EQ(capacity, config.reservoir_bits);
-    // Per-shard counters are a partition of the totals.
-    EXPECT_EQ(harvested, stats.harvested_bits);
-    EXPECT_EQ(distributed, stats.distributed_bits);
-    EXPECT_EQ(stats.delivered_bits, 8u * 8192u);
-}
-
-TEST(Service, ExplicitShardCountGroupsMembers)
-{
-    ServiceConfig config;
-    for (int i = 0; i < 4; ++i)
-        config.pool.push_back(PoolMemberConfig{
-            "testcounter", Params{{"chunk_bits", "8192"}},
-            std::string("m") + std::to_string(i)});
-    config.shards = 2;
-    Service service(config);
-    EXPECT_EQ(service.shardCount(), 2u);
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 2u);
-    EXPECT_EQ(stats.shards[0].members, 2u);
-    EXPECT_EQ(stats.shards[1].members, 2u);
-
-    // Values above the pool size clamp down (a member-less shard
-    // would live off stealing alone).
-    config.shards = 99;
-    Service clamped(config);
-    EXPECT_EQ(clamped.shardCount(), 4u);
-}
-
-TEST(Service, WorkStealingDrainsStarvedShard)
-{
-    // Shard 0's member is bounded and tiny; shard 1's is unbounded.
-    // The session homed on shard 0 demands far more than its home
-    // member can ever supply, so the shard-0 dispatcher must refill
-    // by stealing from shard 1 -- the read succeeding at all proves
-    // the starved shard was drained and restocked.
-    const std::uint64_t kHomeSupply = 1u << 14;
+    // Member "bounded" runs dry after 2^14 bits; "deep" is unbounded.
+    // A session demanding far more than the bounded member can ever
+    // supply is served in full by the rest of the pool.
+    const std::uint64_t kBoundedSupply = 1u << 14;
     ServiceConfig config;
     config.pool.push_back(PoolMemberConfig{
         "testcounter",
-        Params{{"total_bits", std::to_string(kHomeSupply)},
+        Params{{"total_bits", std::to_string(kBoundedSupply)},
                {"chunk_bits", "8192"}},
         "bounded"});
     config.pool.push_back(PoolMemberConfig{
         "testcounter",
         Params{{"chunk_bits", "8192"}, {"start", "1000000"}},
         "deep"});
-    config.shards = 2;
     Service service(config);
 
-    Session session = service.open(); // Homed on shard 0.
+    Session session = service.open();
     EXPECT_EQ(session.read(1u << 20).size(), 1u << 20);
 
-    const auto stats = service.stats();
-    ASSERT_EQ(stats.shards.size(), 2u);
-    EXPECT_GT(stats.shards[0].steals, 0u);
-    EXPECT_GE(stats.shards[0].stolen_bits,
-              (1u << 20) - kHomeSupply);
-    EXPECT_EQ(stats.steals,
-              stats.shards[0].steals + stats.shards[1].steals);
-    EXPECT_LE(stats.shards[0].harvested_bits, kHomeSupply);
+    const auto stats = pollStats(service, [](const ServiceStats &st) {
+        return !st.members[0].active;
+    });
+    EXPECT_FALSE(stats.members[0].active); // Exhausted, not quarantined.
+    EXPECT_FALSE(stats.members[0].quarantined);
+    EXPECT_LE(stats.members[0].bits, kBoundedSupply);
+    EXPECT_EQ(stats.healthy_members, 1);
 }
 
-TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
+TEST(Service, QuarantineFailsOverWithoutStallingEitherReader)
 {
-    // The flaky member is alone on shard 0. After its alarm trips,
-    // the shard-0 session must keep reading (fed by steals from shard
-    // 1) and the shard-1 session must never notice.
+    // Two readers share a pool of a flaky and a steady member. After
+    // the flaky member's alarm trips, both readers keep reading to
+    // completion off the steady member.
     const std::uint64_t kTrip = 1u << 16;
     ServiceConfig config;
     config.pool.push_back(PoolMemberConfig{
@@ -750,22 +760,21 @@ TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
         "testcounter",
         Params{{"chunk_bits", "8192"}, {"start", "1000000"}},
         "steady"});
-    config.shards = 2;
     config.reservoir_bits = 1u << 16;
     Service service(config);
 
-    Session on_flaky = service.open();  // Shard 0.
-    Session on_steady = service.open(); // Shard 1.
-    std::uint64_t flaky_got = 0, steady_got = 0;
-    std::thread steady_reader([&] {
+    Session first = service.open();
+    Session second = service.open();
+    std::uint64_t first_got = 0, second_got = 0;
+    std::thread second_reader([&] {
         for (int i = 0; i < 32; ++i)
-            steady_got += on_steady.read(1u << 14).size();
+            second_got += second.read(1u << 14).size();
     });
     for (int i = 0; i < 32; ++i)
-        flaky_got += on_flaky.read(1u << 14).size();
-    steady_reader.join();
-    EXPECT_EQ(flaky_got, 32u << 14);
-    EXPECT_EQ(steady_got, 32u << 14);
+        first_got += first.read(1u << 14).size();
+    second_reader.join();
+    EXPECT_EQ(first_got, 32u << 14);
+    EXPECT_EQ(second_got, 32u << 14);
 
     const auto stats = pollStats(service, [](const ServiceStats &st) {
         return st.members[0].quarantined;
@@ -773,34 +782,63 @@ TEST(Service, QuarantineFailsOverAcrossShardsWithoutStalling)
     EXPECT_TRUE(stats.members[0].quarantined);
     EXPECT_FALSE(stats.members[1].quarantined);
     EXPECT_EQ(stats.healthy_members, 1);
-    EXPECT_GT(stats.shards[0].steals, 0u);
 }
 
-TEST(ServiceConfig, FromParamsParsesShardingKnobs)
+TEST(Service, SlowConditioningStallsOnlyTheDispatcher)
 {
-    const Params params{{"service.shards", "2"},
-                        {"service.conditioning_workers", "3"},
-                        {"pool.a.source", "testcounter"},
-                        {"pool.b.source", "streaming"},
-                        {"pool.c.source", "streaming"},
-                        {"pool.c.conditioning_workers", "1"}};
-    const ServiceConfig config = ServiceConfig::fromParams(params);
-    EXPECT_EQ(config.shards, 2u);
-    ASSERT_EQ(config.pool.size(), 3u);
-    // The service-level worker count seeds every streaming member
-    // that does not pin its own; non-streaming members are untouched.
-    EXPECT_FALSE(config.pool[0].params.has("conditioning_workers"));
-    EXPECT_EQ(config.pool[1].params.getInt("conditioning_workers"), 3);
-    EXPECT_EQ(config.pool[2].params.getInt("conditioning_workers"), 1);
+    // A session whose pipeline parks in process() holds the dispatcher
+    // there. The service lock must stay free meanwhile: stats()
+    // returns, another session's readAsync is accepted, and the member
+    // keeps pushing chunks. Every wait is bounded and the latch opens
+    // on every exit path, so a regression fails instead of hanging.
+    ASSERT_TRUE(kLatchRegistered);
+    resetLatch();
+    ServiceConfig config;
+    config.pool.push_back(PoolMemberConfig{
+        "testcounter",
+        Params{{"chunk_bits", "1024"}, {"delay_us", "500"}}, "slow"});
+    config.reservoir_bits = 1u << 22; // Seconds of headroom to fill.
+    config.adaptive_chunking = false;
+    Service service(config);
 
-    EXPECT_THROW(ServiceConfig::fromParams(
-                     Params{{"service.shards", "-1"},
-                            {"pool.a.source", "testcounter"}}),
-                 std::invalid_argument);
-    EXPECT_THROW(ServiceConfig::fromParams(
-                     Params{{"service.conditioning_workers", "-2"},
-                            {"pool.a.source", "testcounter"}}),
-                 std::invalid_argument);
+    SessionConfig latched;
+    latched.conditioning = {"testlatch"};
+    Session parked = service.open(latched);
+    Session other = service.open();
+
+    std::future<BitStream> parked_read;
+    std::future<ServiceStats> stats_call;
+    std::future<std::future<BitStream>> submit_call;
+    const LatchOpener opener; // Declared last: opens before any join.
+
+    parked_read = parked.readAsync(64);
+    ASSERT_TRUE(waitForLatchEntry(10s))
+        << "the dispatcher never reached the latched stage";
+
+    stats_call = std::async(std::launch::async,
+                            [&] { return service.stats(); });
+    ASSERT_EQ(stats_call.wait_for(5s), std::future_status::ready)
+        << "stats() blocked behind a conditioning pipeline";
+    const std::uint64_t chunks_then = stats_call.get().members[0].chunks;
+
+    submit_call = std::async(std::launch::async,
+                             [&] { return other.readAsync(4096); });
+    ASSERT_EQ(submit_call.wait_for(5s), std::future_status::ready)
+        << "readAsync() blocked behind a conditioning pipeline";
+    std::future<BitStream> other_read = submit_call.get();
+
+    const auto stats = pollStats(service, [&](const ServiceStats &st) {
+        return st.members[0].chunks > chunks_then;
+    });
+    EXPECT_GT(stats.members[0].chunks, chunks_then)
+        << "the member stopped pushing behind a conditioning pipeline";
+
+    // Released, the dispatcher finishes both reads.
+    openLatch();
+    ASSERT_EQ(parked_read.wait_for(10s), std::future_status::ready);
+    EXPECT_EQ(parked_read.get().size(), 64u);
+    ASSERT_EQ(other_read.wait_for(10s), std::future_status::ready);
+    EXPECT_EQ(other_read.get().size(), 4096u);
 }
 
 TEST(ServiceConfig, FromParamsRejectsMalformedConfigs)
@@ -818,6 +856,20 @@ TEST(ServiceConfig, FromParamsRejectsMalformedConfigs)
                      Params{{"service.typo_knob", "1"},
                             {"pool.a.source", "testcounter"}}),
                  std::invalid_argument);
+    // Removed knobs are unknown keys now: a stale config fails loudly
+    // and names the key.
+    for (const std::string key : {"shards", "conditioning_workers"}) {
+        try {
+            (void)ServiceConfig::fromParams(
+                Params{{"service." + key, "1"},
+                       {"pool.a.source", "testcounter"}});
+            ADD_FAILURE() << "[service] " << key << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace
