@@ -5,9 +5,10 @@
  * path it replaces.
  *
  * Baseline: four independent single-consumer continuous sessions, one
- * "drange" source each on its own thread -- the best the old API can
- * do with four simulated channels. Against it: one Service pooling
- * the same four sources, serving 1, 4, and 16 concurrent sessions.
+ * "drange" source each (its own harvest producer) drained on its own
+ * thread -- the best the old API can do with four simulated channels.
+ * Against it: one Service pooling the same four sources, serving 1, 4,
+ * and 16 concurrent sessions.
  * The 16-session scenario also measures fairness: all sessions demand
  * continuously until a shared bit budget is spent, and the spread
  * (max/min bytes delivered across the equal-priority sessions) is

@@ -113,10 +113,7 @@ main()
     // 4 MiB blocks in parallel, as the paper's estimate does.
     const double retention_blocks = 32.0 * 1024.0 / 4.0;
 
-    // Presentation per registry name. The "multichannel" and
-    // "streaming" sources are deliberately unpresented: Table 2
-    // compares mechanisms, and both are serving arrangements of the
-    // same activation-failure mechanism as "drange".
+    // Presentation per registry name.
     const std::map<std::string, Row> presentation = {
         {"cmdsched",
          {"Pyo+ [116]", "Command Schedule", benchParams(41), 65536,

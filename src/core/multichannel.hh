@@ -84,9 +84,6 @@ class MultiChannelTrng
     /** Bits per full round across all channels. */
     int bitsPerRound() const;
 
-    void setHarvestMode(HarvestMode mode) { mode_ = mode; }
-    HarvestMode harvestMode() const { return mode_; }
-
     /**
      * Aggregate throughput of the last generate() in Mbit/s: total
      * harvested bits over the *wall-clock* simulated interval, which is
@@ -97,13 +94,6 @@ class MultiChannelTrng
 
     /** Host (real) time spent inside the last generate(), in ms. */
     double hostWallClockMs() const { return host_ms_; }
-
-    /** Bits harvested by the last generate() (before truncation). */
-    std::uint64_t lastBits() const { return bits_; }
-
-    /** Simulated wall-clock interval of the last generate() in ns
-     * (maximum over the concurrently running channels). */
-    double lastDurationNs() const { return duration_ns_; }
 
     DRangeTrng &channel(int idx) { return *engines_.at(idx); }
 

@@ -118,11 +118,11 @@ StreamingTrng::launch(std::vector<int> rounds, bool continuous)
         config_.queue_capacity);
     host_start_ = std::chrono::steady_clock::now();
 
-    // Continuous sessions run until stopped and nothing drains their
-    // command traces; bound them so multi-hour trngd runs cannot leak.
-    if (continuous && config_.trace_capacity > 0)
-        for (auto *engine : engines_)
-            engine->scheduler().setTraceCapacity(config_.trace_capacity);
+    // The trace bound follows the session kind (see the file comment),
+    // set on every launch: a stream may run either kind after the other.
+    for (auto *engine : engines_)
+        engine->scheduler().setTraceCapacity(
+            continuous ? kContinuousTraceCapacity : 0);
 
     if (config_.serial_producer || engines_.size() == 1) {
         producers_.emplace_back([this, rounds = std::move(rounds),
@@ -278,24 +278,8 @@ StreamingTrng::validateChunk(const util::BitStream &raw)
 }
 
 std::optional<StreamChunk>
-StreamingTrng::nextRawChunk(bool blocking, bool &would_block)
+StreamingTrng::nextRawChunk()
 {
-    // Pop the next item, honoring the blocking mode. Returns nullopt
-    // with would_block set when a non-blocking pop found the queue
-    // momentarily empty; nullopt with it clear means the stream ended.
-    const auto take = [&]() -> std::optional<StreamChunk> {
-        if (blocking)
-            return queue_->pop();
-        StreamChunk item;
-        if (queue_->tryPop(item))
-            return item;
-        // Empty: either nothing is ready yet, or the session is over.
-        // (Racing a concurrent close() is benign: the caller retries.)
-        would_block = !queue_->closed();
-        return std::nullopt;
-    };
-
-    would_block = false;
     for (;;) {
         StreamChunk chunk;
         if (ordered_) {
@@ -307,11 +291,10 @@ StreamingTrng::nextRawChunk(bool blocking, bool &would_block)
                 chunk = std::move(it->second);
                 stash_.erase(it);
             } else {
-                auto item = take();
+                auto item = queue_->pop();
                 if (!item) {
-                    // Would-block, or closed early (stop() / producer
-                    // error): whatever is stashed out of order is not
-                    // deliverable.
+                    // Closed early (stop() / producer error): whatever
+                    // is stashed out of order is not deliverable.
                     return std::nullopt;
                 }
                 if (static_cast<std::size_t>(item->channel) !=
@@ -330,7 +313,7 @@ StreamingTrng::nextRawChunk(bool blocking, bool &would_block)
                 expected_seq_ = 0;
             }
         } else {
-            auto item = take();
+            auto item = queue_->pop();
             if (!item)
                 return std::nullopt;
             chunk = std::move(*item);
@@ -364,29 +347,13 @@ StreamingTrng::flushConditioning()
 std::optional<util::BitStream>
 StreamingTrng::nextChunk()
 {
-    return nextChunkImpl(/*blocking=*/true);
-}
-
-std::optional<util::BitStream>
-StreamingTrng::tryNextChunk()
-{
-    return nextChunkImpl(/*blocking=*/false);
-}
-
-std::optional<util::BitStream>
-StreamingTrng::nextChunkImpl(bool blocking)
-{
     if (!running_)
         return std::nullopt;
 
     for (;;) {
-        bool would_block = false;
-        auto chunk = nextRawChunk(blocking, would_block);
-        if (!chunk) {
-            if (would_block)
-                return std::nullopt; // Nothing ready; stream still live.
+        auto chunk = nextRawChunk();
+        if (!chunk)
             return flushConditioning();
-        }
 
         stats_.raw_bits += chunk->bits.size();
         ++stats_.chunks;
@@ -445,8 +412,6 @@ StreamingTrng::stop()
     joinProducers();
     running_ = false;
     stash_.clear();
-    stats_.producer_waits = queue_->pushWaits();
-    stats_.consumer_waits = queue_->popWaits();
     stats_.host_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - host_start_)
                          .count();

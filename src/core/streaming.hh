@@ -23,6 +23,13 @@
  * which are now thin wrappers over this class. Continuous sessions
  * (startContinuous()) instead deliver chunks in arrival order so that
  * memory stays bounded while the stream runs forever.
+ *
+ * Every session launch sets each engine's command-trace bound for its
+ * kind: continuous sessions log into a ring of kContinuousTraceCapacity
+ * records (nothing reads their trace, and a long-lived producer would
+ * otherwise grow it without limit); bounded sessions log unbounded,
+ * because the energy model reads their whole trace. One stream can
+ * therefore alternate between the two kinds.
  */
 
 #ifndef DRANGE_CORE_STREAMING_HH
@@ -101,15 +108,6 @@ struct StreamingConfig
     /** Per-test significance level for online validation (the paper
      * validates at SP 800-22's recommended 0.0001). */
     double validate_alpha = 0.0001;
-
-    /**
-     * Command-trace bound applied to every engine's scheduler for
-     * *continuous* sessions (0 = unbounded). Nothing consumes the
-     * trace of an unbounded session, so without a bound a long-lived
-     * trngd producer grows it without limit. Bounded generate() runs
-     * keep their unbounded trace: the energy model reads it.
-     */
-    std::size_t trace_capacity = 65536;
 };
 
 /** Per-engine harvest measurements of one session. */
@@ -133,8 +131,6 @@ struct StreamingStats
     std::uint64_t validated_chunks = 0;
     std::uint64_t failed_chunks = 0; //!< Chunks failing online NIST.
     double host_ms = 0.0;            //!< Wall clock start() -> stop().
-    std::uint64_t producer_waits = 0; //!< Queue-full blocks (backpressure).
-    std::uint64_t consumer_waits = 0; //!< Queue-empty blocks.
 
     /**
      * Per-conditioning-stage entropy accounting: bits in/out and
@@ -158,6 +154,10 @@ struct StreamingStats
 class StreamingTrng
 {
   public:
+    /** Command-trace ring bound of continuous sessions (records per
+     * engine). */
+    static constexpr std::size_t kContinuousTraceCapacity = 65536;
+
     /** Stream from @p engines; all must be initialize()d. */
     StreamingTrng(std::vector<DRangeTrng *> engines,
                   const StreamingConfig &config);
@@ -195,15 +195,6 @@ class StreamingTrng
      * @return nullopt once the session is exhausted or stopped.
      */
     std::optional<util::BitStream> nextChunk();
-
-    /**
-     * Non-blocking variant of nextChunk(): returns nullopt both when
-     * no chunk is ready yet and when the session has ended (poll
-     * running() / use nextChunk() to distinguish). Lets a service
-     * multiplex several pipelines from one thread without parking on
-     * the slowest one.
-     */
-    std::optional<util::BitStream> tryNextChunk();
 
     /** Concatenate every remaining chunk of the session. */
     util::BitStream drain();
@@ -256,20 +247,6 @@ class StreamingTrng
     {
         return queue_ ? queue_->capacity() : config_.queue_capacity;
     }
-    std::size_t queueHighWatermark() const
-    {
-        return queue_ ? queue_->highWatermark() : 0;
-    }
-    /** Times producers blocked on a full queue (consumer-bound). */
-    std::uint64_t queuePushWaits() const
-    {
-        return queue_ ? queue_->pushWaits() : 0;
-    }
-    /** Times the consumer blocked on an empty queue (producer-bound). */
-    std::uint64_t queuePopWaits() const
-    {
-        return queue_ ? queue_->popWaits() : 0;
-    }
 
     /**
      * Round budget per engine covering @p min_raw_bits, handed out
@@ -293,9 +270,7 @@ class StreamingTrng
     bool pushPending(std::size_t engine_idx, util::BitStream &pending,
                      bool last);
     void joinProducers();
-    std::optional<StreamChunk> nextRawChunk(bool blocking,
-                                            bool &would_block);
-    std::optional<util::BitStream> nextChunkImpl(bool blocking);
+    std::optional<StreamChunk> nextRawChunk();
     std::optional<util::BitStream> flushConditioning();
     void validateChunk(const util::BitStream &raw);
 

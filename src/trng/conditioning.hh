@@ -202,9 +202,9 @@ class Sha256Stage final : public ConditioningStage
 
 /**
  * Register a stage factory under @p name so makeStage() (and therefore
- * StreamingConfig::conditioning / the "streaming" registry source) can
- * build it from flat configuration. Returns false (without replacing)
- * when the name is taken. The built-ins self-register.
+ * StreamingConfig::conditioning / the "drange" source's "conditioning"
+ * key) can build it from flat configuration. Returns false (without
+ * replacing) when the name is taken. The built-ins self-register.
  */
 bool registerStage(
     const std::string &name,

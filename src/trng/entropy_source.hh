@@ -3,9 +3,10 @@
  * The unified TRNG interface.
  *
  * The repo grows one entropy mechanism per paper section -- D-RaNGe
- * itself (single- and multi-channel, batch and streaming) plus the
- * three prior-work baselines Table 2 compares against -- and each
- * historically exposed its own config/stats/generate() shape.
+ * itself (continuous harvest, and idle-slot harvest under workload
+ * traffic) plus the three prior-work baselines Table 2 compares
+ * against -- and each historically exposed its own
+ * config/stats/generate() shape.
  * EntropySource gives them one: a bounded generate(), an optional
  * continuous streaming session, and a uniform SourceStats view
  * (throughput / latency / energy / entropy), so benches, examples, and
@@ -55,7 +56,8 @@ struct SourceStats
     double energy_nj_per_bit =
         std::numeric_limits<double>::quiet_NaN();
 
-    /** Per-conditioning-stage accounting (streaming sources). */
+    /** Per-conditioning-stage accounting (sources with a conditioning
+     * pipeline). */
     std::vector<StageAccounting> stages;
 
     /** Delivered throughput over simulated time, Mbit/s. */
@@ -77,9 +79,6 @@ struct BackpressureStats
 {
     std::size_t queue_depth = 0;    //!< Chunks buffered right now.
     std::size_t queue_capacity = 0; //!< Queue bound (0: no queue).
-    std::size_t queue_high_watermark = 0; //!< Deepest fill so far.
-    std::uint64_t producer_waits = 0; //!< Harvest blocked (consumer-bound).
-    std::uint64_t consumer_waits = 0; //!< Drain blocked (producer-bound).
 };
 
 /**
@@ -93,7 +92,8 @@ struct BackpressureStats
  * startup-values TRNG, which needs a power cycle per batch) throw
  * std::logic_error from startContinuous(). The base class implements
  * the session by repeated bounded generate() calls; genuinely
- * pipelined sources override all three methods.
+ * pipelined sources ("drange", which runs one continuous harvest
+ * producer per session) override all three methods.
  */
 class EntropySource
 {

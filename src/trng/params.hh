@@ -44,7 +44,7 @@ class Params
      *     # comment (';' also starts one)
      *     key = value          -> {"key", "value"}
      *     [pool.fast]          -> keys below prefixed "pool.fast."
-     *     source = streaming   -> {"pool.fast.source", "streaming"}
+     *     source = drange      -> {"pool.fast.source", "drange"}
      *
      * Values run to end of line (commas fine: "conditioning =
      * sha256,health"). Malformed input -- an unreadable file, a line

@@ -1,9 +1,10 @@
 /**
  * @file
- * The built-in trng::EntropySource backends: adapters wrapping the six
- * legacy TRNG classes (D-RaNGe single/multi-channel/streaming and the
- * three prior-work baselines) behind the unified interface, each
- * self-registered with trng::Registry under a flat name.
+ * The built-in trng::EntropySource backends: D-RaNGe continuous
+ * harvest ("drange"), D-RaNGe idle-slot harvest under workload traffic
+ * ("opportunistic") and the three prior-work baselines, each
+ * self-registered with trng::Registry under a flat name. A service
+ * gets parallel channels by pooling several "drange" members.
  *
  * Every adapter owns its simulated device(s) and builds them from the
  * shared Params keys
@@ -30,7 +31,6 @@
 #include "baselines/startup_trng.hh"
 #include "controller/memory_controller.hh"
 #include "controller/plugins.hh"
-#include "core/multichannel.hh"
 #include "core/streaming.hh"
 #include "dram/device.hh"
 #include "power/power_model.hh"
@@ -130,7 +130,14 @@ drangeConfig(const Params &params)
 
 // ------------------------------------------------------------ drange
 
-/** Single-channel D-RaNGe behind the interface. */
+/**
+ * D-RaNGe behind the interface: one device, one engine, and one
+ * long-lived StreamingTrng over it. startContinuous()/nextChunk()/
+ * stop() are the stream's continuous session (one producer thread,
+ * the data pattern written once, a ring-bounded command trace);
+ * generate() is the same stream's bounded drain. The conditioning
+ * pipeline (and its SP 800-90B health stage) is chosen via Params.
+ */
 class DRangeSource final : public EntropySource
 {
   public:
@@ -140,8 +147,13 @@ class DRangeSource final : public EntropySource
           engine_(std::make_unique<core::DRangeTrng>(
               *device_, drangeConfig(params)))
     {
-        setContinuousChunkBits(static_cast<std::size_t>(
-            boundedInt(params, "chunk_bits", 4096, 1)));
+        config_.chunk_bits = static_cast<std::size_t>(
+            boundedInt(params, "chunk_bits", 4096, 1));
+        config_.conditioning = params.getList("conditioning");
+        config_.stage_params = params;
+        // Validate stage names (and their params) eagerly so a typo
+        // fails at make() time, not at the first generate().
+        trng::makePipeline(config_.conditioning, params);
         params.rejectUnknown("trng source \"drange\"");
         info_ = {"drange",
                  "D-RaNGe: DRAM activation-failure TRNG (Kim+ HPCA'19)",
@@ -152,149 +164,25 @@ class DRangeSource final : public EntropySource
 
     util::BitStream generate(std::size_t num_bits) override
     {
-        if (!engine_->initialized())
-            engine_->initialize();
+        core::StreamingTrng &stream = ensureStream();
         engine_->scheduler().clearTrace();
-        const util::BitStream bits = engine_->generate(num_bits);
-        const auto &st = engine_->lastStats();
-
-        stats_ = SourceStats{};
-        stats_.bits = bits.size();
-        stats_.sim_ns = st.durationNs();
-        stats_.latency64_ns = st.first_word_ns;
+        util::BitStream bits = stream.generate(num_bits);
+        captureStats();
         fillEntropyFields(stats_, bits);
 
         // The paper's energy methodology (Section 7.3): trace energy
-        // minus the idle baseline over the same interval, per bit.
+        // minus the idle baseline over the same interval, per
+        // harvested bit.
+        const core::ProducerStats &ps = stream.producerStats(0);
         const power::PowerModel pm(power::PowerSpec::lpddr4(),
                                    device_->config().timing);
-        const auto energy = pm.traceEnergy(
-            engine_->scheduler().trace(), st.durationNs(),
-            engine_->scheduler().activeTime());
-        if (st.bits > 0)
+        const auto energy =
+            pm.traceEnergy(engine_->scheduler().trace(), ps.durationNs(),
+                           engine_->scheduler().activeTime());
+        if (ps.bits > 0)
             stats_.energy_nj_per_bit =
-                (energy.total_nj() - pm.idleEnergyNj(st.durationNs())) /
-                static_cast<double>(st.bits);
-        return bits;
-    }
-
-    SourceStats stats() const override { return stats_; }
-
-    void setTemperature(double celsius) override
-    {
-        device_->setTemperature(celsius);
-    }
-
-  private:
-    std::unique_ptr<dram::DramDevice> device_;
-    std::unique_ptr<core::DRangeTrng> engine_;
-    SourceInfo info_;
-    SourceStats stats_;
-};
-
-// ------------------------------------------------------ multichannel
-
-/** Thread-parallel multi-channel D-RaNGe behind the interface. */
-class MultiChannelSource final : public EntropySource
-{
-  public:
-    explicit MultiChannelSource(const Params &params)
-    {
-        const int channels =
-            static_cast<int>(boundedInt(params, "channels", 2, 1));
-        const bool serial = params.getBool("serial", false);
-        trng_ = std::make_unique<core::MultiChannelTrng>(
-            deviceConfig(params), channels, drangeConfig(params),
-            serial ? core::HarvestMode::Serial
-                   : core::HarvestMode::Parallel);
-        setContinuousChunkBits(static_cast<std::size_t>(
-            boundedInt(params, "chunk_bits", 4096, 1)));
-        params.rejectUnknown("trng source \"multichannel\"");
-        info_ = {"multichannel",
-                 "D-RaNGe across independent DRAM channels, "
-                 "thread-parallel harvest",
-                 true};
-    }
-
-    const SourceInfo &info() const override { return info_; }
-
-    util::BitStream generate(std::size_t num_bits) override
-    {
-        if (!initialized_) {
-            trng_->initialize();
-            initialized_ = true;
-        }
-        const util::BitStream bits = trng_->generate(num_bits);
-        stats_ = SourceStats{};
-        stats_.bits = bits.size();
-        stats_.sim_ns = trng_->lastDurationNs();
-        stats_.host_ms = trng_->hostWallClockMs();
-        fillEntropyFields(stats_, bits);
-        return bits;
-    }
-
-    SourceStats stats() const override { return stats_; }
-
-    void setTemperature(double celsius) override
-    {
-        for (int c = 0; c < trng_->channels(); ++c)
-            trng_->channel(c).device().setTemperature(celsius);
-    }
-
-  private:
-    std::unique_ptr<core::MultiChannelTrng> trng_;
-    bool initialized_ = false;
-    SourceInfo info_;
-    SourceStats stats_;
-};
-
-// --------------------------------------------------------- streaming
-
-/** The overlapped harvest/conditioning pipeline behind the interface:
- * a StreamingTrng over a multi-channel engine, with the conditioning
- * pipeline (and its SP 800-90B health stage) chosen via Params. */
-class StreamingSource final : public EntropySource
-{
-  public:
-    explicit StreamingSource(const Params &params)
-    {
-        const int channels =
-            static_cast<int>(boundedInt(params, "channels", 2, 1));
-        trng_ = std::make_unique<core::MultiChannelTrng>(
-            deviceConfig(params), channels, drangeConfig(params));
-
-        stream_config_.chunk_bits = static_cast<std::size_t>(
-            boundedInt(params, "chunk_bits", 8192, 1));
-        stream_config_.queue_capacity = static_cast<std::size_t>(
-            boundedInt(params, "queue_capacity", 8, 1));
-        stream_config_.serial_producer =
-            params.getBool("serial", false);
-        stream_config_.validate_threads = static_cast<int>(
-            boundedInt(params, "validate_threads", 0, 0));
-        stream_config_.validate_alpha = params.getDouble(
-            "validate_alpha", stream_config_.validate_alpha);
-        stream_config_.conditioning = params.getList("conditioning");
-        stream_config_.stage_params = params;
-
-        // Validate stage names (and their params) eagerly so a typo
-        // fails at make() time, not at the first generate().
-        trng::makePipeline(stream_config_.conditioning, params);
-        params.rejectUnknown("trng source \"streaming\"");
-        info_ = {"streaming",
-                 "D-RaNGe streaming pipeline: overlapped harvest, "
-                 "pluggable conditioning, online validation",
-                 true};
-    }
-
-    const SourceInfo &info() const override { return info_; }
-
-    util::BitStream generate(std::size_t num_bits) override
-    {
-        delivered_bits_ = 0;
-        delivered_ones_ = 0;
-        const util::BitStream bits = ensureStream().generate(num_bits);
-        captureStats();
-        fillEntropyFields(stats_, bits);
+                (energy.total_nj() - pm.idleEnergyNj(ps.durationNs())) /
+                static_cast<double>(ps.bits);
         return bits;
     }
 
@@ -335,13 +223,12 @@ class StreamingSource final : public EntropySource
 
     std::size_t chunkBits() const override
     {
-        return stream_ ? stream_->chunkBits()
-                       : stream_config_.chunk_bits;
+        return stream_ ? stream_->chunkBits() : config_.chunk_bits;
     }
 
     void setChunkBits(std::size_t bits) override
     {
-        stream_config_.chunk_bits = bits ? bits : 1;
+        config_.chunk_bits = bits ? bits : 1;
         if (stream_)
             stream_->setChunkBits(bits);
     }
@@ -355,37 +242,26 @@ class StreamingSource final : public EntropySource
 
     BackpressureStats backpressure() const override
     {
-        BackpressureStats bp;
-        bp.queue_capacity = stream_config_.queue_capacity;
-        if (stream_) {
-            bp.queue_depth = stream_->queueDepth();
-            bp.queue_capacity = stream_->queueCapacity();
-            bp.queue_high_watermark = stream_->queueHighWatermark();
-            bp.producer_waits = stream_->queuePushWaits();
-            bp.consumer_waits = stream_->queuePopWaits();
-        }
-        return bp;
+        if (!stream_)
+            return {}; // No queue before the first session.
+        return {stream_->queueDepth(), stream_->queueCapacity()};
     }
-
-    /** The underlying pipeline, for callers that need the full
-     * streaming API (producer stats, custom stages). */
-    core::StreamingTrng &stream() { return ensureStream(); }
 
     void setTemperature(double celsius) override
     {
-        // Device temperature is atomic; producer threads mid-session
-        // pick the new value up at their next DRAM operation.
-        for (int c = 0; c < trng_->channels(); ++c)
-            trng_->channel(c).device().setTemperature(celsius);
+        // Device temperature is atomic; a producer mid-session picks
+        // the new value up at its next DRAM operation.
+        device_->setTemperature(celsius);
     }
 
   private:
     core::StreamingTrng &ensureStream()
     {
         if (!stream_) {
-            trng_->initialize();
-            stream_ = std::make_unique<core::StreamingTrng>(
-                *trng_, stream_config_);
+            if (!engine_->initialized())
+                engine_->initialize();
+            stream_ =
+                std::make_unique<core::StreamingTrng>(*engine_, config_);
         }
         return *stream_;
     }
@@ -393,27 +269,19 @@ class StreamingSource final : public EntropySource
     void captureStats()
     {
         const core::StreamingStats &st = stream_->stats();
+        const core::ProducerStats &ps = stream_->producerStats(0);
         stats_ = SourceStats{};
         stats_.bits = st.out_bits;
+        stats_.sim_ns = ps.durationNs();
         stats_.host_ms = st.host_ms;
+        stats_.latency64_ns = ps.first_word_ns;
         stats_.stages = st.stages;
-        double sim_ns = 0.0;
-        double first = 0.0;
-        for (int ch = 0; ch < stream_->engines(); ++ch) {
-            const core::ProducerStats &ps = stream_->producerStats(ch);
-            sim_ns = std::max(sim_ns, ps.durationNs());
-            if (ps.first_word_ns > 0.0)
-                first = first == 0.0
-                            ? ps.first_word_ns
-                            : std::min(first, ps.first_word_ns);
-        }
-        stats_.sim_ns = sim_ns;
-        stats_.latency64_ns = first;
     }
 
-    std::unique_ptr<core::MultiChannelTrng> trng_;
+    std::unique_ptr<dram::DramDevice> device_;
+    std::unique_ptr<core::DRangeTrng> engine_;
     std::unique_ptr<core::StreamingTrng> stream_;
-    core::StreamingConfig stream_config_;
+    core::StreamingConfig config_;
     std::uint64_t delivered_bits_ = 0;
     std::uint64_t delivered_ones_ = 0;
     SourceInfo info_;
@@ -810,16 +678,9 @@ makeSource(const Params &params)
 
 DRANGE_TRNG_REGISTER(drange, "drange",
                      "D-RaNGe activation-failure TRNG (the paper's "
-                     "mechanism, single channel)",
+                     "mechanism): continuous harvest, pluggable "
+                     "conditioning stages",
                      makeSource<DRangeSource>);
-DRANGE_TRNG_REGISTER(multichannel, "multichannel",
-                     "D-RaNGe across independent DRAM channels, "
-                     "thread-parallel harvest",
-                     makeSource<MultiChannelSource>);
-DRANGE_TRNG_REGISTER(streaming, "streaming",
-                     "D-RaNGe streaming pipeline with pluggable "
-                     "conditioning stages and online validation",
-                     makeSource<StreamingSource>);
 DRANGE_TRNG_REGISTER(opportunistic, "opportunistic",
                      "D-RaNGe scavenging idle DRAM slots under live "
                      "workload traffic (Section 7.3)",

@@ -82,19 +82,6 @@ class ChunkQueue
         return item;
     }
 
-    /** Non-blocking pop. @return false if the queue is empty. */
-    bool tryPop(T &out)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        ++pops_;
-        not_full_.notify_one();
-        return true;
-    }
-
     /** End the stream: wake all waiters; push() fails from now on. */
     void close()
     {
@@ -102,12 +89,6 @@ class ChunkQueue
         closed_ = true;
         not_full_.notify_all();
         not_empty_.notify_all();
-    }
-
-    bool closed() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return closed_;
     }
 
     std::size_t size() const

@@ -34,16 +34,6 @@ TEST(ChunkQueue, FifoOrder)
     EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ChunkQueue, TryPopOnEmpty)
-{
-    ChunkQueue<int> q(2);
-    int out = -1;
-    EXPECT_FALSE(q.tryPop(out));
-    q.push(7);
-    EXPECT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out, 7);
-}
-
 TEST(ChunkQueue, HighWatermarkTracksDeepestFill)
 {
     ChunkQueue<int> q(8);
@@ -70,8 +60,7 @@ TEST(ChunkQueue, HighWatermarkCapsAtCapacity)
     ChunkQueue<int> q(2);
     q.push(1);
     q.push(2);
-    int out = 0;
-    ASSERT_TRUE(q.tryPop(out));
+    ASSERT_EQ(q.pop(), std::optional<int>(1));
     q.push(3);
     EXPECT_EQ(q.highWatermark(), 2u);
     EXPECT_LE(q.highWatermark(), q.capacity());

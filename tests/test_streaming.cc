@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +99,28 @@ TEST(Streaming, ChunkSizeDoesNotChangeTheStream)
         EXPECT_EQ(bits.toString(), reference.toString())
             << "chunk_bits = " << chunk_bits;
     }
+
+    // Chunk size is adjustable mid-session (adaptive sizing); for a
+    // raw bounded session the stream must not change.
+    auto trng = makeTrng(2, HarvestMode::Parallel, 23);
+    StreamingConfig cfg;
+    cfg.chunk_bits = 512;
+    StreamingTrng stream(trng, cfg);
+    EXPECT_EQ(stream.chunkBits(), 512u);
+    stream.start(6000);
+    util::BitStream bits;
+    while (auto chunk = stream.nextChunk()) {
+        if (bits.empty()) {
+            stream.setChunkBits(2048);
+            EXPECT_EQ(stream.chunkBits(), 2048u);
+        }
+        bits.append(*chunk);
+    }
+    EXPECT_LE(stream.queueDepth(), stream.queueCapacity());
+    stream.stop();
+    ASSERT_GE(bits.size(), 6000u);
+    bits.truncate(6000);
+    EXPECT_EQ(bits.toString(), reference.toString());
 }
 
 TEST(Streaming, DRangeGenerateIsAStreamingDrain)
@@ -236,46 +257,23 @@ TEST(Streaming, ContinuousSessionStops)
     EXPECT_GE(bits.size(), 2048u);
 }
 
-TEST(Streaming, TryNextChunkDrainsWithoutBlocking)
+TEST(Streaming, BoundedSessionAfterAContinuousOneTracesUnbounded)
 {
-    // The non-blocking hand-off (used by services multiplexing several
-    // pipelines): tryNextChunk() returning nullopt means "nothing
-    // ready yet", not "stream over", so spinning on it must drain a
-    // bounded session to the same bits the serial reference emits.
-    auto reference_trng = makeTrng(2, HarvestMode::Serial, 23);
-    const auto reference = reference_trng.generate(6000);
-
-    auto trng = makeTrng(2, HarvestMode::Parallel, 23);
+    // A continuous session logs into a trace ring; a bounded session
+    // on the same engine afterwards must log its whole trace again,
+    // because the energy model reads it.
+    auto trng = makeTrng(1, HarvestMode::Parallel, 59);
+    DRangeTrng &engine = trng.channel(0);
     StreamingConfig cfg;
-    cfg.chunk_bits = 512;
-    StreamingTrng stream(trng, cfg);
-    EXPECT_EQ(stream.chunkBits(), 512u);
-    stream.start(6000);
-
-    util::BitStream bits;
-    bool adjusted = false;
-    while (bits.size() < 6000) {
-        auto chunk = stream.tryNextChunk();
-        if (!chunk) {
-            std::this_thread::yield(); // Producers still harvesting.
-            continue;
-        }
-        bits.append(*chunk);
-        if (!adjusted) {
-            // Chunk size is adjustable mid-session (adaptive sizing);
-            // for a raw bounded session the stream must not change.
-            stream.setChunkBits(2048);
-            EXPECT_EQ(stream.chunkBits(), 2048u);
-            adjusted = true;
-        }
-    }
-    EXPECT_LE(stream.queueDepth(), stream.queueCapacity());
-    EXPECT_GE(stream.queueHighWatermark(), 1u);
+    cfg.chunk_bits = 1024;
+    StreamingTrng stream(engine, cfg);
+    stream.startContinuous();
+    ASSERT_TRUE(stream.nextChunk().has_value());
     stream.stop();
+    EXPECT_GT(engine.scheduler().trace().capacity(), 0u);
 
-    ASSERT_GE(bits.size(), 6000u);
-    bits.truncate(6000);
-    EXPECT_EQ(bits.toString(), reference.toString());
+    stream.generate(4096);
+    EXPECT_EQ(engine.scheduler().trace().capacity(), 0u);
 }
 
 TEST(Streaming, RejectsUninitializedEngines)

@@ -128,37 +128,57 @@ TEST(TrngParams, RejectUnknownNamesUnconsumedKeys)
 
 // ---------------------------------------------------------- registry
 
-TEST(TrngRegistry, ListsAllSixSources)
+/** The built-in sources (src/trng/sources.cc). */
+constexpr const char *kBuiltins[] = {"drange", "opportunistic", "cmdsched",
+                                     "retention", "startup"};
+
+TEST(TrngRegistry, ListsAllFiveSources)
 {
-    for (const char *name : {"drange", "multichannel", "streaming",
-                             "cmdsched", "retention", "startup"}) {
+    for (const char *name : kBuiltins) {
         SCOPED_TRACE(name);
         EXPECT_TRUE(Registry::contains(name));
         EXPECT_FALSE(Registry::description(name).empty());
     }
-    EXPECT_GE(Registry::names().size(), 6u);
+    EXPECT_GE(Registry::names().size(), 5u);
 }
 
 TEST(TrngRegistry, UnknownSourceNameThrowsListingRegistered)
 {
-    try {
-        Registry::make("sram");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("sram"), std::string::npos);
-        EXPECT_NE(message.find("drange"), std::string::npos);
-        EXPECT_NE(message.find("retention"), std::string::npos);
+    // "multichannel" and "streaming" were folded into "drange": a
+    // stale config naming them fails here and points at "drange".
+    for (const char *name : {"sram", "multichannel", "streaming"}) {
+        SCOPED_TRACE(name);
+        try {
+            Registry::make(name);
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument &e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find(name), std::string::npos);
+            EXPECT_NE(message.find("drange"), std::string::npos);
+            EXPECT_NE(message.find("retention"), std::string::npos);
+        }
     }
 }
 
 TEST(TrngRegistry, UnknownParamsKeyThrowsFromEveryFactory)
 {
-    for (const char *name : {"drange", "multichannel", "streaming",
-                             "cmdsched", "retention", "startup"}) {
+    for (const char *name : kBuiltins) {
         SCOPED_TRACE(name);
         EXPECT_THROW(Registry::make(name, Params{{"bankz", "8"}}),
                      std::invalid_argument);
+    }
+    // Keys of the removed "multichannel"/"streaming" sources are
+    // unknown to "drange" and fail naming the key.
+    for (const char *key : {"channels", "serial", "queue_capacity",
+                            "validate_threads", "validate_alpha"}) {
+        SCOPED_TRACE(key);
+        try {
+            Registry::make("drange", Params{{key, "1"}});
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key),
+                      std::string::npos);
+        }
     }
 }
 
@@ -169,18 +189,18 @@ TEST(TrngRegistry, InvalidParamValuesThrow)
     EXPECT_THROW(
         Registry::make("drange", Params{{"manufacturer", "Z"}}),
         std::invalid_argument);
-    EXPECT_THROW(Registry::make("streaming",
+    EXPECT_THROW(Registry::make("drange",
                                 Params{{"conditioning", "sha512"}}),
                  std::invalid_argument);
     EXPECT_THROW(
-        Registry::make("streaming",
+        Registry::make("drange",
                        Params{{"conditioning", "health"},
                               {"health_min_entropy", "2.0"}}),
         std::invalid_argument);
     // Out-of-domain integers fail loudly instead of wrapping into
     // huge unsigned values (chunk_bits = -1 used to hang a session).
     EXPECT_THROW(
-        Registry::make("streaming", Params{{"chunk_bits", "-1"}}),
+        Registry::make("drange", Params{{"chunk_bits", "-1"}}),
         std::invalid_argument);
     EXPECT_THROW(Registry::make("drange", Params{{"banks", "-2"}}),
                  std::invalid_argument);
@@ -213,22 +233,32 @@ TEST(TrngRegistry, DRangeGenerateIsBitIdenticalThroughTheInterface)
     EXPECT_GT(stats.energy_nj_per_bit, 0.0);
 }
 
-TEST(TrngRegistry, MultiChannelGenerateIsBitIdenticalThroughTheInterface)
+TEST(TrngRegistry, DRangeContinuousSessionServesTheBoundedStream)
 {
-    core::MultiChannelTrng legacy(legacyDeviceConfig(23), 2,
-                                  legacyTrngConfig());
-    legacy.initialize();
-    const auto expected = legacy.generate(6001);
+    // A continuous session is the same harvest as a bounded
+    // generate(): one producer, rounds in order. Chunk boundaries,
+    // including a mid-session resize, never change the stream.
+    auto session = Registry::make(
+        "drange", registryParams().set("chunk_bits", 1024));
+    session->startContinuous();
+    util::BitStream served;
+    int chunks = 0;
+    while (chunks < 5 || served.size() < 12000) {
+        auto chunk = session->nextChunk();
+        ASSERT_TRUE(chunk.has_value());
+        served.append(*chunk);
+        if (++chunks == 2)
+            session->setChunkBits(3001);
+    }
+    session->stop();
+    EXPECT_EQ(session->chunkBits(), 3001u);
 
-    auto source = Registry::make(
-        "multichannel", registryParams(23).set("channels", 2));
-    const auto actual = source->generate(6001);
-    EXPECT_EQ(actual.toString(), expected.toString());
-
-    const auto stats = source->stats();
-    EXPECT_EQ(stats.bits, expected.size());
-    EXPECT_GT(stats.sim_ns, 0.0);
-    EXPECT_GT(stats.host_ms, 0.0);
+    const std::size_t n = served.size();
+    auto twin = Registry::make("drange", registryParams());
+    auto expected = twin->generate(n);
+    ASSERT_GE(expected.size(), n);
+    expected.truncate(n);
+    EXPECT_EQ(served.toString(), expected.toString());
 }
 
 // ------------------------------------------------ streaming contract
@@ -269,13 +299,12 @@ TEST(TrngRegistry, BatchBackedSourcesPseudoStream)
     EXPECT_FALSE(source->nextChunk().has_value());
 }
 
-TEST(TrngRegistry, StreamingSourceDeliversConditionedChunks)
+TEST(TrngRegistry, DRangeSessionDeliversConditionedChunks)
 {
     auto source = Registry::make(
-        "streaming", registryParams()
-                         .set("channels", 2)
-                         .set("chunk_bits", 2048)
-                         .set("conditioning", "sha256"));
+        "drange", registryParams()
+                      .set("chunk_bits", 2048)
+                      .set("conditioning", "sha256"));
     source->startContinuous();
     std::size_t collected = 0;
     while (collected < 2048) {
@@ -301,10 +330,9 @@ TEST(TrngRegistry, HealthStagePassesOnConditionedDRangeOutput)
     // The 90B continuous tests run inside the pipeline, after SHA-256
     // conditioning, over a real harvested session: no alarms.
     auto source = Registry::make(
-        "streaming", registryParams()
-                         .set("channels", 2)
-                         .set("chunk_bits", 4096)
-                         .set("conditioning", "sha256,health"));
+        "drange", registryParams()
+                      .set("chunk_bits", 4096)
+                      .set("conditioning", "sha256,health"));
     const auto bits = source->generate(30000);
     EXPECT_GT(bits.size(), 0u);
     const auto stats = source->stats();
