@@ -34,19 +34,20 @@ struct TimedCommand
  * Capacity 0 (the default) keeps every command, matching the historic
  * append-only std::vector behaviour that the energy model's
  * per-generate() traces rely on. A positive capacity bounds the trace
- * to the most recent commands, so continuous multi-hour producers (the
- * trngd streaming sessions) cannot grow it without limit; evictions are
- * counted in dropped().
+ * to the most recent commands, so a long-lived co-simulation cannot
+ * grow it without limit; evictions are counted in dropped(). With
+ * recording off, push_back() only counts: continuous harvest sessions,
+ * whose trace nothing reads, keep no records at all.
  */
 class CommandTrace
 {
   public:
-    explicit CommandTrace(std::size_t capacity = 0) : capacity_(capacity)
-    {
-    }
+    CommandTrace() = default;
+
+    explicit CommandTrace(std::size_t capacity) : capacity_(capacity) {}
 
     /** Unbounded trace from a literal command list (tests, fixtures). */
-    CommandTrace(std::initializer_list<TimedCommand> cmds) : capacity_(0)
+    CommandTrace(std::initializer_list<TimedCommand> cmds)
     {
         for (const auto &cmd : cmds)
             push_back(cmd);
@@ -54,8 +55,10 @@ class CommandTrace
 
     void push_back(const TimedCommand &cmd)
     {
-        cmds_.push_back(cmd);
         ++total_;
+        if (!recording_)
+            return;
+        cmds_.push_back(cmd);
         if (capacity_ > 0)
             while (cmds_.size() > capacity_) {
                 cmds_.pop_front();
@@ -87,7 +90,11 @@ class CommandTrace
             }
     }
 
-    /** Commands ever logged, including evicted ones. */
+    /** Keep records of logged commands (default) or only count them.
+     * Records already kept stay until clear(). */
+    void setRecording(bool on) { recording_ = on; }
+
+    /** Commands ever logged, including evicted and unrecorded ones. */
     std::uint64_t totalLogged() const { return total_; }
 
     /** Commands evicted by the ring bound (clear() is not eviction). */
@@ -98,7 +105,8 @@ class CommandTrace
 
   private:
     std::deque<TimedCommand> cmds_;
-    std::size_t capacity_;
+    std::size_t capacity_ = 0;
+    bool recording_ = true;
     std::uint64_t total_ = 0;
     std::uint64_t dropped_ = 0;
 };

@@ -137,6 +137,13 @@ class CommandScheduler
     }
     std::size_t traceCapacity() const { return trace_.capacity(); }
 
+    /**
+     * Record issued commands into trace() (the default), or only count
+     * them. Either way every command still reaches the plugins,
+     * refsIssued() and trace().totalLogged().
+     */
+    void setTraceRecording(bool on) { trace_.setRecording(on); }
+
     /** Rank-level busy/active statistics for the power model. */
     double activeTime() const { return active_time_ns_; }
 

@@ -118,11 +118,14 @@ StreamingTrng::launch(std::vector<int> rounds, bool continuous)
         config_.queue_capacity);
     host_start_ = std::chrono::steady_clock::now();
 
-    // The trace bound follows the session kind (see the file comment),
+    // Trace recording follows the session kind (see the file comment),
     // set on every launch: a stream may run either kind after the other.
-    for (auto *engine : engines_)
-        engine->scheduler().setTraceCapacity(
-            continuous ? kContinuousTraceCapacity : 0);
+    for (auto *engine : engines_) {
+        ctrl::CommandScheduler &sched = engine->scheduler();
+        sched.setTraceRecording(!continuous);
+        if (continuous)
+            sched.clearTrace();
+    }
 
     if (config_.serial_producer || engines_.size() == 1) {
         producers_.emplace_back([this, rounds = std::move(rounds),

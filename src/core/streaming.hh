@@ -24,12 +24,13 @@
  * (startContinuous()) instead deliver chunks in arrival order so that
  * memory stays bounded while the stream runs forever.
  *
- * Every session launch sets each engine's command-trace bound for its
- * kind: continuous sessions log into a ring of kContinuousTraceCapacity
- * records (nothing reads their trace, and a long-lived producer would
- * otherwise grow it without limit); bounded sessions log unbounded,
- * because the energy model reads their whole trace. One stream can
- * therefore alternate between the two kinds.
+ * Every session launch sets each engine's command-trace recording for
+ * its kind. Continuous sessions record nothing: nothing reads their
+ * trace, so launch clears it and the scheduler only counts commands
+ * (refsIssued(), totalLogged()) and dispatches them to its plugins.
+ * Bounded sessions record every command, because the energy model
+ * reads their whole trace. One stream can therefore alternate between
+ * the two kinds.
  */
 
 #ifndef DRANGE_CORE_STREAMING_HH
@@ -154,10 +155,6 @@ struct StreamingStats
 class StreamingTrng
 {
   public:
-    /** Command-trace ring bound of continuous sessions (records per
-     * engine). */
-    static constexpr std::size_t kContinuousTraceCapacity = 65536;
-
     /** Stream from @p engines; all must be initialize()d. */
     StreamingTrng(std::vector<DRangeTrng *> engines,
                   const StreamingConfig &config);

@@ -416,6 +416,12 @@ DramDevice::refreshAll(double now_ns)
 {
     for (int b = 0; b < config_.geometry.banks; ++b) {
         assert(banks_[b].open_row < 0 && "REF with an open row");
+        // Under auto-refresh a row's stamp never matters: nothing
+        // decays, and applyRetention takes the later of the row's stamp
+        // and global_refresh_ns_, which this REF sets. Only without
+        // auto-refresh can the walk flip bits.
+        if (auto_refresh_)
+            continue;
         for (int row = 0; row < config_.geometry.rows_per_bank; ++row) {
             if (auto &data = banks_[b].rows[row])
                 applyRetention(b, row, *data, now_ns);

@@ -88,7 +88,12 @@ class DramDevice
     /** Write the 64-bit word @p word of the open row of @p bank. */
     void write(double now_ns, int bank, int word, std::uint64_t value);
 
-    /** Refresh all banks (all banks must be precharged). */
+    /**
+     * Refresh all banks (all banks must be precharged). Under
+     * auto-refresh this only stamps the device-wide refresh time;
+     * without it, every materialized row first takes the retention
+     * loss of its gap since its last refresh.
+     */
     void refreshAll(double now_ns);
 
     /**

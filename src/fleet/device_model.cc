@@ -1,27 +1,37 @@
 #include "fleet/device_model.hh"
 
+#include <utility>
+
 #include "util/rng.hh"
 
 namespace drange::fleet {
 
+namespace {
+
+Vendor
+vendor(std::string name, dram::Manufacturer manufacturer)
+{
+    Vendor v;
+    v.name = std::move(name);
+    v.manufacturer = manufacturer;
+    return v;
+}
+
+} // anonymous namespace
+
 std::vector<Vendor>
 Vendor::builtin()
 {
-    std::vector<Vendor> v(3);
-
-    v[0].name = "A";
-    v[0].manufacturer = dram::Manufacturer::A;
     // Vendor A parts route addresses straight through (the legacy
     // single-device behaviour).
+    std::vector<Vendor> v{vendor("A", dram::Manufacturer::A),
+                          vendor("B", dram::Manufacturer::B),
+                          vendor("C", dram::Manufacturer::C)};
 
-    v[1].name = "B";
-    v[1].manufacturer = dram::Manufacturer::B;
     v[1].mapping.row_kind =
         dram::AddressMapping::RowKind::SubarrayReverse;
     v[1].mapping.bank_rotate = 3;
 
-    v[2].name = "C";
-    v[2].manufacturer = dram::Manufacturer::C;
     v[2].mapping.row_kind = dram::AddressMapping::RowKind::XorScramble;
     v[2].mapping.row_xor = 0x2a5;
     v[2].mapping.word_xor = 0x5;

@@ -9,9 +9,9 @@ FrameEncoder::appendRequest(std::vector<std::uint8_t> &out,
                             std::uint16_t priority,
                             std::uint32_t num_bytes)
 {
-    unsigned char header[kHeaderBytes];
-    encodeRequestHeader(header, priority, num_bytes);
-    out.insert(out.end(), header, header + kHeaderBytes);
+    const std::size_t at = out.size();
+    out.resize(at + kHeaderBytes);
+    encodeRequestHeader(out.data() + at, priority, num_bytes);
 }
 
 void

@@ -317,25 +317,31 @@ Service::pumpMember(Member &m)
             // and its chunk fits (a chunk larger than the reservoir is
             // admitted alone). Without the order, a fast member retakes
             // each freed slot and a slow one can wait out the run.
-            const std::uint64_t ticket = next_ticket_++;
-            const auto admitted = [&] {
-                return ticket == admit_ticket_ &&
-                       (reservoir_.empty() ||
-                        reservoir_.size() + chunk->size() <=
-                            config_.reservoir_bits);
-            };
-            if (!admitted()) {
-                ++producer_waits_;
-                space_cv_.wait(lock, [&] {
-                    return closing_.load(std::memory_order_acquire) ||
-                           admitted();
-                });
+            // A member's first chunk skips both: a member that comes up
+            // after the others have filled the reservoir would
+            // otherwise wait for a reader that may only come once every
+            // member serves.
+            if (m.chunks > 0) {
+                const std::uint64_t ticket = next_ticket_++;
+                const auto admitted = [&] {
+                    return ticket == admit_ticket_ &&
+                           (reservoir_.empty() ||
+                            reservoir_.size() + chunk->size() <=
+                                config_.reservoir_bits);
+                };
+                if (!admitted()) {
+                    ++producer_waits_;
+                    space_cv_.wait(lock, [&] {
+                        return closing_.load(std::memory_order_acquire) ||
+                               admitted();
+                    });
+                }
+                if (closing_.load(std::memory_order_acquire))
+                    return true;
+                ++admit_ticket_;
+                if (next_ticket_ != admit_ticket_)
+                    space_cv_.notify_all(); // The next may fit too.
             }
-            if (closing_.load(std::memory_order_acquire))
-                return true;
-            ++admit_ticket_;
-            if (next_ticket_ != admit_ticket_)
-                space_cv_.notify_all(); // The next ticket may fit too.
 
             const std::size_t pushed = chunk->size();
             reservoir_.push(std::move(*chunk));

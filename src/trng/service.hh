@@ -44,10 +44,14 @@
  *    pool. A relapse during probation re-quarantines and retries.
  *  - Backpressure: the reservoir is bounded, so harvesting never runs
  *    ahead of client demand by more than ServiceConfig::reservoir_bits
- *    (workers block, which in turn blocks the sources' own producer
- *    threads through their internal queues). Blocked workers are
- *    admitted in arrival order, so a fast member cannot keep retaking
- *    the freed space while a slower one waits.
+ *    plus one first chunk per member (workers block, which in turn
+ *    blocks the sources' own producer threads through their internal
+ *    queues). Blocked workers are admitted in arrival order, so a fast
+ *    member cannot keep retaking the freed space while a slower one
+ *    waits. A member's first chunk is admitted at once, without a
+ *    ticket or a space check: a member that finishes starting up after
+ *    the others have filled the reservoir still joins the pool before
+ *    any client reads.
  *
  * A Service with a one-member pool is the old single-consumer path
  * behind the new API (see Service's convenience constructor). The
@@ -93,7 +97,9 @@ struct ServiceConfig
     std::vector<PoolMemberConfig> pool;
 
     /** Reservoir bound: harvesting blocks once this many conditioned
-     * bits are buffered ahead of client demand. */
+     * bits are buffered ahead of client demand. Each member's first
+     * chunk is admitted regardless, so the reservoir holds at most
+     * this plus one first chunk per member. */
     std::size_t reservoir_bits = 1u << 20;
 
     /** Deficit-round-robin quantum: reservoir bits credited to a

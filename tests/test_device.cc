@@ -213,6 +213,60 @@ TEST(Device, NoRetentionDecayWithAutoRefresh)
     EXPECT_EQ(dev.counters().retention_failures, 0u);
 }
 
+TEST(Device, RefreshShortcutMatchesTheRowWalk)
+{
+    // Under auto-refresh a REF only stamps the device-wide refresh
+    // time; without it, the REF walks every materialized row. Twin
+    // devices take one path each through the same commands, with gaps
+    // under the 10 ms decay floor so the walk only stamps. Then both
+    // decay with auto-refresh off and must end up identical.
+    auto cfg = smallConfig();
+    cfg.conditions.temperature_c = 70.0; // Accelerate leakage.
+    DramDevice shortcut(cfg);
+    DramDevice walk(cfg);
+    walk.setAutoRefresh(false);
+
+    constexpr int kRows = 32;
+    constexpr int kRefs = 800;
+    constexpr double kRefGapNs = 5e6;
+    const int words = cfg.geometry.words_per_row;
+    for (DramDevice *dev : {&shortcut, &walk}) {
+        for (int row = 0; row < kRows; ++row) {
+            const bool charged = CellModel::isTrueCell({0, row, 0});
+            for (int w = 0; w < words; ++w)
+                dev->pokeWord(0, row, w, charged ? ~0ULL : 0ULL);
+        }
+        // Each row is activated once early on, then REFs alone run
+        // for 4 simulated seconds: the rows' own stamps fall far
+        // behind the last REF.
+        for (int i = 1; i <= kRefs; ++i) {
+            const double t = i * kRefGapNs;
+            if (i <= kRows) {
+                dev->activate(t, 0, i - 1);
+                dev->precharge(t + 60.0, 0);
+            }
+            dev->refreshAll(t + 100.0);
+        }
+    }
+
+    shortcut.setAutoRefresh(false);
+    const double decay_ns = kRefs * kRefGapNs + 60e9;
+    for (int row = 0; row < kRows; ++row) {
+        const double t = decay_ns + row * 100.0;
+        shortcut.activate(t, 0, row);
+        walk.activate(t, 0, row);
+        for (int w = 0; w < words; ++w)
+            ASSERT_EQ(shortcut.peekWord(0, row, w), walk.peekWord(0, row, w))
+                << "row " << row << " word " << w;
+        shortcut.precharge(t + 60.0, 0);
+        walk.precharge(t + 60.0, 0);
+    }
+    EXPECT_GT(walk.counters().retention_failures, 0u);
+    EXPECT_EQ(shortcut.counters().retention_failures,
+              walk.counters().retention_failures);
+    EXPECT_EQ(shortcut.counters().refreshes, walk.counters().refreshes);
+}
+
 TEST(Device, PowerCycleRestoresStartupValues)
 {
     DramDevice dev(smallConfig());

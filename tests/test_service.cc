@@ -583,6 +583,34 @@ TEST(Service, BackpressureBoundsTheReservoir)
               (1u << 14) + 4096u); // Bound plus one in-flight chunk.
 }
 
+TEST(Service, LateMemberJoinsAPoolWhoseReservoirIsFull)
+{
+    // The early member fills the reservoir long before the late one's
+    // first chunk is ready, and no session ever reads. The late member
+    // must still come up: each member's first chunk is admitted past
+    // the bound, so the reservoir holds at most the bound plus one
+    // first chunk per member.
+    constexpr std::size_t kReservoirBits = 1u << 14;
+    constexpr std::size_t kChunkBits = 4096;
+    ServiceConfig config;
+    config.pool.push_back(PoolMemberConfig{
+        "testcounter", Params{{"chunk_bits", "4096"}}, "early"});
+    config.pool.push_back(PoolMemberConfig{
+        "testcounter",
+        Params{{"chunk_bits", "4096"}, {"delay_us", "200000"}}, "late"});
+    config.reservoir_bits = kReservoirBits;
+    config.adaptive_chunking = false;
+    Service service(config);
+
+    const auto stats = pollStats(service, [](const ServiceStats &st) {
+        return st.members[0].chunks > 0 && st.members[1].chunks > 0;
+    });
+    EXPECT_GT(stats.members[0].chunks, 0u);
+    EXPECT_GT(stats.members[1].chunks, 0u);
+    EXPECT_LE(stats.reservoir_high_watermark,
+              kReservoirBits + 2 * kChunkBits);
+}
+
 TEST(Service, PerSessionConditioningProfiles)
 {
     ServiceConfig config;

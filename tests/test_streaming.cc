@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -257,23 +259,55 @@ TEST(Streaming, ContinuousSessionStops)
     EXPECT_GE(bits.size(), 2048u);
 }
 
+/** Counts the commands a scheduler hands its plugins. */
+class CommandCounter final : public ctrl::SchedulerPlugin
+{
+  public:
+    std::string name() const override { return "command_counter"; }
+    void onCommandIssued(const ctrl::TimedCommand &) override
+    {
+        ++commands;
+    }
+
+    std::uint64_t commands = 0;
+};
+
 TEST(Streaming, BoundedSessionAfterAContinuousOneTracesUnbounded)
 {
-    // A continuous session logs into a trace ring; a bounded session
-    // on the same engine afterwards must log its whole trace again,
-    // because the energy model reads it.
+    // A continuous session records no command trace, because nothing
+    // reads it, yet every command is still counted and reaches the
+    // plugins. A bounded session on the same engine afterwards must
+    // record its whole trace again, because the energy model reads it.
     auto trng = makeTrng(1, HarvestMode::Parallel, 59);
     DRangeTrng &engine = trng.channel(0);
+    ctrl::CommandScheduler &sched = engine.scheduler();
+    const auto &counter = static_cast<const CommandCounter &>(
+        sched.attach(std::make_unique<CommandCounter>()));
+    const std::uint64_t logged_before = sched.trace().totalLogged();
+    const std::uint64_t refs_before = sched.refsIssued();
+
     StreamingConfig cfg;
     cfg.chunk_bits = 1024;
     StreamingTrng stream(engine, cfg);
     stream.startContinuous();
-    ASSERT_TRUE(stream.nextChunk().has_value());
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(stream.nextChunk().has_value());
     stream.stop();
-    EXPECT_GT(engine.scheduler().trace().capacity(), 0u);
+    const std::uint64_t logged =
+        sched.trace().totalLogged() - logged_before;
+    EXPECT_EQ(sched.trace().size(), 0u);
+    EXPECT_GT(logged, 0u);
+    EXPECT_GT(sched.refsIssued(), refs_before);
+    EXPECT_EQ(counter.commands, logged);
 
+    const std::uint64_t logged_continuous = sched.trace().totalLogged();
     stream.generate(4096);
-    EXPECT_EQ(engine.scheduler().trace().capacity(), 0u);
+    EXPECT_GT(sched.trace().size(), 0u);
+    EXPECT_EQ(sched.trace().size(),
+              sched.trace().totalLogged() - logged_continuous);
+    EXPECT_EQ(sched.trace().dropped(), 0u);
+    EXPECT_EQ(counter.commands,
+              sched.trace().totalLogged() - logged_before);
 }
 
 TEST(Streaming, RejectsUninitializedEngines)
