@@ -260,7 +260,24 @@ runScenario(const std::string &name,
             transport_ok =
                 main_client.fetch(2, frame_bytes, scenario_deadline);
 
-        // Phase A: baseline throughput, pre-fault.
+        // Phase A: baseline throughput, pre-fault. It starts the way
+        // Phase D does, from a reservoir too full for any serving
+        // member's next chunk, so every producer is parked on it:
+        // timed straight after warm-up it would start from whatever
+        // fill the warm-up left, with the producers still racing to
+        // top it up, and read up to twice the post-fault rate.
+        const auto reservoir_full = [&service] {
+            const trng::ServiceStats st = service.stats();
+            for (const trng::MemberStats &m : st.members)
+                if (!m.quarantined &&
+                    st.reservoir_bits + m.chunk_bits <=
+                        st.reservoir_capacity)
+                    return false;
+            return true;
+        };
+        while (transport_ok && !reservoir_full() &&
+               Clock::now() < scenario_deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
         const auto t_base = Clock::now();
         for (int i = 0; transport_ok && i < frames; ++i)
             transport_ok =
@@ -406,8 +423,11 @@ main(int argc, char **argv)
         quick);
 
     // A slow temperature excursion (through the simulated device's
-    // cell physics) followed by a one-shot worker crash; probation
-    // re-profiles at the new operating point and the member rejoins.
+    // cell physics) followed by a one-shot worker crash; each
+    // probation attempt re-identifies the RNG cells at the new
+    // operating point (a few hundred ms here; seconds at 85 C, where
+    // identification can no longer skip the strong cells) and the
+    // member rejoins.
     const ScenarioResult crash = runScenario(
         "crash_ramp",
         {{"hot.kind", "temp_ramp"},

@@ -108,35 +108,6 @@ DRangeTrng::initialize()
     }
 }
 
-void
-DRangeTrng::initializeWith(std::vector<BankSelection> selection)
-{
-    if (selection.empty())
-        throw std::invalid_argument(
-            "D-RaNGe: initializeWith() needs at least one bank "
-            "selection");
-    const auto &geom = device_.config().geometry;
-    for (const auto &sel : selection) {
-        if (sel.bank < 0 || sel.bank >= geom.banks)
-            throw std::invalid_argument(
-                "D-RaNGe: selection bank out of range");
-        if (sel.words[0].row == sel.words[1].row)
-            throw std::invalid_argument(
-                "D-RaNGe: selection must alternate two distinct rows "
-                "per bank");
-        for (int d = 0; d < 2; ++d) {
-            if (sel.words[d].row < 0 ||
-                sel.words[d].row >= geom.rows_per_bank ||
-                sel.words[d].word < 0 ||
-                sel.words[d].word >= geom.words_per_row)
-                throw std::invalid_argument(
-                    "D-RaNGe: selection word out of range");
-        }
-    }
-    selection_ = std::move(selection);
-    active_banks_ = 0;
-}
-
 std::size_t
 DRangeTrng::activeCount() const
 {

@@ -88,18 +88,11 @@ class DRangeTrng
 
     /**
      * Profile the configured banks and select the sampling words.
-     * Must be called before generate().
+     * Must be called before generate(). Calling it again re-identifies
+     * at the device's current temperature; if that finds no RNG-cell
+     * words it throws and leaves the engine without a selection.
      */
     void initialize();
-
-    /**
-     * Adopt an externally computed sampling selection instead of
-     * profiling here -- the fleet profile store derives selections
-     * from persisted weak-cell sets, so a store-hit startup skips
-     * initialize() entirely. Basic shape is validated (non-empty,
-     * banks within geometry, two distinct rows per bank).
-     */
-    void initializeWith(std::vector<BankSelection> selection);
 
     bool initialized() const { return !selection_.empty(); }
     const std::vector<BankSelection> &selection() const

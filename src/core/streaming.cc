@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/multichannel.hh"
-#include "nist/nist.hh"
 
 namespace drange::core {
 
@@ -266,20 +265,6 @@ StreamingTrng::setConditioning(trng::ConditioningPipeline pipeline)
     pipeline_ = std::move(pipeline);
 }
 
-void
-StreamingTrng::validateChunk(const util::BitStream &raw)
-{
-    const auto results =
-        nist::runAllParallel(raw, config_.validate_threads);
-    ++stats_.validated_chunks;
-    for (const auto &result : results) {
-        if (!result.pass(config_.validate_alpha)) {
-            ++stats_.failed_chunks;
-            return;
-        }
-    }
-}
-
 std::optional<StreamChunk>
 StreamingTrng::nextRawChunk()
 {
@@ -360,8 +345,6 @@ StreamingTrng::nextChunk()
 
         stats_.raw_bits += chunk->bits.size();
         ++stats_.chunks;
-        if (config_.validate_threads > 0)
-            validateChunk(chunk->bits);
 
         // The chunk is owned here, so both paths move it: an empty
         // pipeline passes the buffer through untouched (the batch

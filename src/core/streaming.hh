@@ -10,11 +10,11 @@
  * round-robin thread in serial mode), hands round-aligned chunks
  * through a bounded util::ChunkQueue, and applies the conditioning
  * pipeline -- any composition of trng::ConditioningStage instances,
- * e.g. von Neumann -> SP 800-90B health tests, or SHA-256 -- plus
- * optional online NIST validation on the consumer side while later
- * chunks are still being harvested. Conditioning runs inline on the
- * consumer thread: it is a small fraction of harvest time, so
- * overlapping it with the harvest is all the parallelism it needs.
+ * e.g. von Neumann -> SP 800-90B health tests, or SHA-256 -- on the
+ * consumer side while later chunks are still being harvested.
+ * Conditioning runs inline on the consumer thread: it is a small
+ * fraction of harvest time, so overlapping it with the harvest is all
+ * the parallelism it needs.
  *
  * Bounded sessions (start()/generate()) emit bits in a deterministic
  * order -- each channel's bits in harvest order, channels concatenated
@@ -92,23 +92,6 @@ struct StreamingConfig
     /** Drive all channels from one round-robin producer thread
      * (HarvestMode::Serial) instead of one thread per channel. */
     bool serial_producer = false;
-
-    /**
-     * > 0: run the NIST suite on every raw chunk (fanned over this
-     * many threads, see nist::runAllParallel) while harvesting
-     * continues; failures are counted in StreamingStats.
-     *
-     * Statistical caveat: the suite's chi-squared approximations (the
-     * template-matching families especially) are calibrated for long
-     * sequences; gating chunks much below ~2^17 bits over-rejects
-     * even perfect randomness. For small chunks either raise
-     * chunk_bits for the validation run or lower validate_alpha.
-     */
-    int validate_threads = 0;
-
-    /** Per-test significance level for online validation (the paper
-     * validates at SP 800-22's recommended 0.0001). */
-    double validate_alpha = 0.0001;
 };
 
 /** Per-engine harvest measurements of one session. */
@@ -129,9 +112,7 @@ struct StreamingStats
     std::uint64_t raw_bits = 0;  //!< Harvested bits consumed.
     std::uint64_t out_bits = 0;  //!< Bits after conditioning.
     std::uint64_t chunks = 0;    //!< Non-empty chunks delivered.
-    std::uint64_t validated_chunks = 0;
-    std::uint64_t failed_chunks = 0; //!< Chunks failing online NIST.
-    double host_ms = 0.0;            //!< Wall clock start() -> stop().
+    double host_ms = 0.0;        //!< Wall clock start() -> stop().
 
     /**
      * Per-conditioning-stage entropy accounting: bits in/out and
@@ -269,7 +250,6 @@ class StreamingTrng
     void joinProducers();
     std::optional<StreamChunk> nextRawChunk();
     std::optional<util::BitStream> flushConditioning();
-    void validateChunk(const util::BitStream &raw);
 
     std::vector<DRangeTrng *> engines_;
     StreamingConfig config_;

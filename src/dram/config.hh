@@ -13,7 +13,6 @@
 #ifndef DRANGE_DRAM_CONFIG_HH
 #define DRANGE_DRAM_CONFIG_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -165,84 +164,6 @@ struct OperatingConditions
 };
 
 /**
- * Vendor-internal address scrambling between the logical addresses a
- * host issues and the physical cells a die selects. Real DIMMs remap
- * rows (anti-parallel subarray routing), banks, and column lines in
- * vendor-specific ways, so the *same* logical address lands on
- * different physical cells across vendors -- which is why fleet
- * profiles are per-device and not portable. All transforms here are
- * bijections over the device geometry; the default is the identity
- * (legacy behaviour, bit-identical).
- */
-struct AddressMapping
-{
-    /** Row transform families seen across vendors. */
-    enum class RowKind {
-        Direct,          //!< Logical == physical.
-        SubarrayReverse, //!< Row order reversed within each subarray.
-        XorScramble,     //!< Row bits XOR-scrambled (within 2^k rows).
-    };
-
-    RowKind row_kind = RowKind::Direct;
-    std::uint32_t row_xor = 0;  //!< XOR mask for RowKind::XorScramble.
-    int bank_rotate = 0;        //!< Physical bank = (bank + r) % banks.
-    std::uint32_t word_xor = 0; //!< Column-line (word) XOR swizzle.
-
-    bool identity() const
-    {
-        return row_kind == RowKind::Direct && bank_rotate == 0 &&
-               word_xor == 0;
-    }
-
-    /** XOR over the largest power-of-two prefix of [0, n): entries
-     * below 2^k permute among themselves, the rest stay fixed, so the
-     * transform is a bijection for any n. */
-    static int xorWithin(int index, std::uint32_t mask, int n)
-    {
-        std::uint32_t pow2 = 1;
-        while (static_cast<int>(pow2 << 1) <= n)
-            pow2 <<= 1;
-        if (index >= static_cast<int>(pow2))
-            return index;
-        return static_cast<int>(static_cast<std::uint32_t>(index) ^
-                                (mask & (pow2 - 1)));
-    }
-
-    int mapRow(int row, const Geometry &g) const
-    {
-        switch (row_kind) {
-        case RowKind::Direct:
-            return row;
-        case RowKind::SubarrayReverse: {
-            const int sa = row / g.subarray_rows;
-            const int off = row % g.subarray_rows;
-            const int size = std::min(g.subarray_rows,
-                                      g.rows_per_bank -
-                                          sa * g.subarray_rows);
-            return sa * g.subarray_rows + (size - 1 - off);
-        }
-        case RowKind::XorScramble:
-            return xorWithin(row, row_xor, g.rows_per_bank);
-        }
-        return row;
-    }
-
-    int mapBank(int bank, const Geometry &g) const
-    {
-        if (bank_rotate == 0)
-            return bank;
-        return (bank + bank_rotate) % g.banks;
-    }
-
-    int mapWord(int word, const Geometry &g) const
-    {
-        if (word_xor == 0)
-            return word;
-        return xorWithin(word, word_xor, g.words_per_row);
-    }
-};
-
-/**
  * Complete configuration of one simulated device.
  */
 struct DeviceConfig
@@ -252,10 +173,6 @@ struct DeviceConfig
     TimingParams timing = TimingParams::lpddr4_3200();
     ManufacturerProfile profile = ManufacturerProfile::of(Manufacturer::A);
     OperatingConditions conditions;
-
-    /** Vendor address scrambling (identity by default). Applied at the
-     * device command interface; all internal state is physical. */
-    AddressMapping mapping;
 
     /**
      * Manufacturing seed: fixes all process variation (which cells are

@@ -38,8 +38,7 @@ DramDevice::DramDevice(const DeviceConfig &config)
       noise_(config.noise_seed != 0 ? util::Xoshiro256ss(config.noise_seed)
                                     : util::Xoshiro256ss()),
       banks_(config.geometry.banks),
-      temperature_c_(config.conditions.temperature_c),
-      mapped_(!config.mapping.identity())
+      temperature_c_(config.conditions.temperature_c)
 {
     // The word-granular hot path stores one bitmask lane per word; the
     // pre-existing bit addressing (peekBit, columns) already assumes
@@ -54,15 +53,13 @@ DramDevice::DramDevice(const DeviceConfig &config)
 bool
 DramDevice::isOpen(int bank) const
 {
-    return banks_.at(pBank(bank)).open_row >= 0;
+    return banks_.at(bank).open_row >= 0;
 }
 
 int
 DramDevice::openRow(int bank) const
 {
-    // Callers compare against the row they activated, so report the
-    // logical row, not the physical one the mapping selected.
-    return banks_.at(pBank(bank)).open_row_logical;
+    return banks_.at(bank).open_row;
 }
 
 DramDevice::RowData &
@@ -136,16 +133,13 @@ void
 DramDevice::activate(double now_ns, int bank, int row)
 {
     assert(row >= 0 && row < config_.geometry.rows_per_bank);
-    const int pb = pBank(bank);
-    const int pr = pRow(row);
-    BankState &bs = banks_.at(pb);
+    BankState &bs = banks_.at(bank);
     assert(bs.open_row < 0 && "ACT to a bank with an open row");
 
-    RowData &data = materialize(pb, pr, now_ns);
-    applyRetention(pb, pr, data, now_ns);
+    RowData &data = materialize(bank, row, now_ns);
+    applyRetention(bank, row, data, now_ns);
 
-    bs.open_row = pr;
-    bs.open_row_logical = row;
+    bs.open_row = row;
     bs.act_time_ns = now_ns;
     bs.first_read_done = false;
     ++counters_.activates;
@@ -155,9 +149,8 @@ void
 DramDevice::precharge(double now_ns, int bank)
 {
     (void)now_ns;
-    BankState &bs = banks_.at(pBank(bank));
+    BankState &bs = banks_.at(bank);
     bs.open_row = -1;
-    bs.open_row_logical = -1;
     ++counters_.precharges;
 }
 
@@ -194,9 +187,9 @@ DramDevice::buildContext(int bank, int row, long long column, bool stored,
         check((data.words[w] >> ((column + 1) % 64)) & 1);
     }
     if (row > 0)
-        check(rawBit(bank, row - 1, column));
+        check(peekBit(bank, row - 1, column));
     if (row + 1 < config_.geometry.rows_per_bank)
-        check(rawBit(bank, row + 1, column));
+        check(peekBit(bank, row + 1, column));
     ctx.anti_neighbor_frac =
         neighbors > 0 ? static_cast<double>(anti) / neighbors : 0.0;
 
@@ -258,12 +251,9 @@ DramDevice::evaluateBitScalar(double now_ns, int bank, int row, int word,
 std::uint64_t
 DramDevice::read(double now_ns, int bank, int word)
 {
-    assert(word >= 0 && word < config_.geometry.words_per_row);
-    const int pb = pBank(bank);
-    BankState &bs = banks_.at(pb);
+    BankState &bs = banks_.at(bank);
     assert(bs.open_row >= 0 && "READ to a precharged bank");
-    bank = pb;
-    word = pWord(word);
+    assert(word >= 0 && word < config_.geometry.words_per_row);
     const int row = bs.open_row;
     ++counters_.reads;
 
@@ -398,15 +388,13 @@ DramDevice::read(double now_ns, int bank, int word)
 void
 DramDevice::write(double now_ns, int bank, int word, std::uint64_t value)
 {
-    assert(word >= 0 && word < config_.geometry.words_per_row);
-    const int pb = pBank(bank);
-    BankState &bs = banks_.at(pb);
+    BankState &bs = banks_.at(bank);
     assert(bs.open_row >= 0 && "WRITE to a precharged bank");
+    assert(word >= 0 && word < config_.geometry.words_per_row);
 
-    RowData &data = materialize(pb, bs.open_row, now_ns);
-    const int pw = pWord(word);
-    data.ones -= std::popcount(data.words[pw]);
-    data.words[pw] = value;
+    RowData &data = materialize(bank, bs.open_row, now_ns);
+    data.ones -= std::popcount(data.words[word]);
+    data.words[word] = value;
     data.ones += std::popcount(value);
     ++counters_.writes;
 }
@@ -438,7 +426,6 @@ DramDevice::powerCycle(double now_ns)
         for (auto &row : bank.rows)
             row.reset();
         bank.open_row = -1;
-        bank.open_row_logical = -1;
         bank.first_read_done = false;
     }
     startup_epoch_ = noise_.next();
@@ -448,27 +435,16 @@ DramDevice::powerCycle(double now_ns)
 std::uint64_t
 DramDevice::peekWord(int bank, int row, int word)
 {
-    return materialize(pBank(bank), pRow(row), 0.0)
-        .words.at(pWord(word));
+    return materialize(bank, row, 0.0).words.at(word);
 }
 
 void
 DramDevice::pokeWord(int bank, int row, int word, std::uint64_t value)
 {
-    RowData &data = materialize(pBank(bank), pRow(row), 0.0);
-    const int pw = pWord(word);
-    data.ones -= std::popcount(data.words.at(pw));
-    data.words[pw] = value;
+    RowData &data = materialize(bank, row, 0.0);
+    data.ones -= std::popcount(data.words.at(word));
+    data.words[word] = value;
     data.ones += std::popcount(value);
-}
-
-bool
-DramDevice::rawBit(int bank, int row, long long column)
-{
-    const int word = static_cast<int>(column / 64);
-    return (materialize(bank, row, 0.0).words.at(word) >>
-            (column % 64)) &
-           1;
 }
 
 bool
@@ -495,11 +471,6 @@ double
 DramDevice::failureProbability(int bank, int row, long long column,
                                double elapsed_ns)
 {
-    bank = pBank(bank);
-    row = pRow(row);
-    column = static_cast<long long>(pWord(static_cast<int>(column / 64))) *
-                 64 +
-             column % 64;
     if (row > 0)
         materialize(bank, row - 1, 0.0);
     if (row + 1 < config_.geometry.rows_per_bank)

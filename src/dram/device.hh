@@ -164,34 +164,10 @@ class DramDevice
          * RowData blocks are heap-allocated, so references stay stable
          * while neighbouring rows materialize. */
         std::vector<std::unique_ptr<RowData>> rows;
-        int open_row = -1;         //!< Physical row (post-mapping).
-        int open_row_logical = -1; //!< Row as the host addressed it.
+        int open_row = -1;
         double act_time_ns = 0.0;
         bool first_read_done = false;
     };
-
-    // Logical-to-physical address mapping (AddressMapping). Applied at
-    // the public command/backdoor interface only; everything below it
-    // (materialize, buildContext, the read hot path) works in physical
-    // coordinates. `mapped_` caches mapping.identity() so the default
-    // configuration pays one predictable branch per translation.
-    int pBank(int bank) const
-    {
-        return mapped_ ? config_.mapping.mapBank(bank, config_.geometry)
-                       : bank;
-    }
-    int pRow(int row) const
-    {
-        return mapped_ ? config_.mapping.mapRow(row, config_.geometry)
-                       : row;
-    }
-    int pWord(int word) const
-    {
-        return mapped_ ? config_.mapping.mapWord(word, config_.geometry)
-                       : word;
-    }
-    /** Bit accessor in *physical* coordinates (neighbour physics). */
-    bool rawBit(int bank, int row, long long column);
 
     RowData &materialize(int bank, int row, double now_ns);
     void applyRetention(int bank, int row, RowData &data, double now_ns);
@@ -213,7 +189,6 @@ class DramDevice
     std::vector<BankState> banks_;
     DeviceCounters counters_;
     std::atomic<double> temperature_c_;
-    bool mapped_ = false;
     bool auto_refresh_ = true;
     double global_refresh_ns_ = 0.0;
     std::uint64_t startup_epoch_ = 0;

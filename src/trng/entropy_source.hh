@@ -106,7 +106,12 @@ class EntropySource
      * their natural batch: harvest rounds, 256-bit hashes, ...). */
     virtual util::BitStream generate(std::size_t num_bits) = 0;
 
-    /** Open an unbounded streaming session.
+    /** Open an unbounded streaming session. A restart after stop()
+     * (the service's probation) is where a source re-establishes its
+     * operating point: "drange" re-identifies its RNG cells at the
+     * device's current temperature and resets its conditioning and
+     * health stages; sim::FaultInjector also resets its own monitor;
+     * base-class sessions just resume their bounded batches.
      * @throws std::logic_error if the source cannot stream or a
      *         session is already open. */
     virtual void startContinuous();

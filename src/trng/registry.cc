@@ -6,12 +6,6 @@
 
 #include "sim/fault.hh"
 
-namespace drange::fleet::detail {
-// Defined in fleet/fleet_source.cc; same link-anchor trick as
-// linkBuiltinSources() below for the "fleet" registration.
-void linkFleetSource();
-} // namespace drange::fleet::detail
-
 namespace drange::trng {
 
 namespace detail {
@@ -41,7 +35,6 @@ void
 ensureBuiltins()
 {
     detail::linkBuiltinSources();
-    fleet::detail::linkFleetSource();
 }
 
 std::string

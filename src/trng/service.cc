@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fleet/population.hh"
 #include "trng/registry.hh"
 
 namespace drange::trng {
@@ -135,16 +134,6 @@ ServiceConfig::fromParams(const Params &params)
     cfg.max_probation_attempts = static_cast<int>(max_attempts);
     service.rejectUnknown("trng::Service config [service]");
 
-    // One [fleet] section describes the device population for the
-    // whole pool: its keys fan out to every "fleet" member (as
-    // fleet.* sub-keys, explicit per-member values winning), so the
-    // members agree on device identities and can share one profile
-    // store. Validate it eagerly -- a typo'd [fleet] key must fail
-    // configuration even when no member consumes the section.
-    const Params fleet_section = params.section("fleet");
-    if (!fleet_section.keys().empty())
-        (void)fleet::FleetConfig::fromParams(fleet_section);
-
     for (const std::string &name : params.sections("pool")) {
         const Params member = params.section(name);
         PoolMemberConfig pm;
@@ -156,11 +145,6 @@ ServiceConfig::fromParams(const Params &params)
         for (const std::string &key : member.keys())
             if (key != "source")
                 pm.params.set(key, member.getString(key));
-        if (pm.source == "fleet")
-            for (const std::string &key : fleet_section.keys())
-                if (!pm.params.has("fleet." + key))
-                    pm.params.set("fleet." + key,
-                                  fleet_section.getString(key));
         cfg.pool.push_back(std::move(pm));
     }
     if (cfg.pool.empty())
@@ -368,10 +352,11 @@ Service::runProbation(Member &m)
 {
     int attempts = 0;
     while (!closing_.load(std::memory_order_acquire)) {
-        // Drop the alarmed session, cool off, then re-profile: for a
+        // Drop the alarmed session, cool off, then restart: for a
         // streaming source startContinuous() relaunches the producers
         // and resets every conditioning/health stage, so the gates
-        // judge the post-restart stream from scratch.
+        // judge the post-restart stream from scratch ("drange" also
+        // re-identifies its RNG cells at the current temperature).
         try {
             m.source->stop();
         } catch (...) {

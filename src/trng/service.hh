@@ -37,11 +37,13 @@
  *    every member is quarantined/exhausted do outstanding reads fail.
  *    With ServiceConfig::reinstate enabled, quarantine is a lifecycle
  *    instead of a verdict: the member's worker periodically restarts
- *    the source (re-profiling it and resetting its health gates) and
- *    pumps a *probation* stream whose bits are counted but discarded
- *    -- never served -- until probation_windows consecutive clean
- *    chunks pass the gates, at which point the member rejoins the
- *    pool. A relapse during probation re-quarantines and retries.
+ *    the source (its health gates start over, and a "drange" member
+ *    re-identifies its RNG cells at the current temperature -- see
+ *    EntropySource::startContinuous()) and pumps a *probation* stream
+ *    whose bits are counted but discarded -- never served -- until
+ *    probation_windows consecutive clean chunks pass the gates, at
+ *    which point the member rejoins the pool. A relapse during
+ *    probation re-quarantines and retries.
  *  - Backpressure: the reservoir is bounded, so harvesting never runs
  *    ahead of client demand by more than ServiceConfig::reservoir_bits
  *    plus one first chunk per member (workers block, which in turn
@@ -120,7 +122,7 @@ struct ServiceConfig
 
     // ------------------------------------------ probation lifecycle
     /**
-     * Quarantined members re-profile and rejoin after clean probation
+     * Quarantined members restart and rejoin after clean probation
      * (see the file comment). Disabled by default: quarantine is
      * permanent, the pre-lifecycle behavior.
      */
@@ -336,9 +338,9 @@ class Service
 
     /**
      * Quarantine recovery: repeatedly cool off, restart the source
-     * (re-profile + fresh health gates), and pump a discarded
-     * probation stream until probation_windows consecutive chunks
-     * come back clean. True: the member may rejoin (its session is
+     * (fresh health gates; "drange" re-identifies its cells), and
+     * pump a discarded probation stream until probation_windows
+     * consecutive chunks come back clean. True: the member may rejoin (its session is
      * open and healthy). False: closing, or attempts exhausted.
      */
     bool runProbation(Member &m);

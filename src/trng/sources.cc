@@ -134,9 +134,11 @@ drangeConfig(const Params &params)
  * D-RaNGe behind the interface: one device, one engine, and one
  * long-lived StreamingTrng over it. startContinuous()/nextChunk()/
  * stop() are the stream's continuous session (one producer thread,
- * the data pattern written once, a ring-bounded command trace);
- * generate() is the same stream's bounded drain. The conditioning
- * pipeline (and its SP 800-90B health stage) is chosen via Params.
+ * the data pattern written once per session, no command trace), and
+ * every session after the first re-identifies the RNG cells at the
+ * device's current temperature before it starts. generate() is the
+ * same stream's bounded drain. The conditioning pipeline (and its
+ * SP 800-90B health stage) is chosen via Params.
  */
 class DRangeSource final : public EntropySource
 {
@@ -192,7 +194,16 @@ class DRangeSource final : public EntropySource
         // session that just ended, not of everything ever delivered.
         delivered_bits_ = 0;
         delivered_ones_ = 0;
+        // A restart (the service's probation) re-identifies the RNG
+        // cells at the device's current temperature: a cell's failure
+        // probability moves with every few degrees (paper Fig. 6), so
+        // the cells selected for the first session may have gone
+        // stale. A throw leaves the engine without a selection; the
+        // next start (or generate()) identifies again.
+        if (continuous_ran_ && !stream_->running())
+            engine_->initialize();
         ensureStream().startContinuous();
+        continuous_ran_ = true;
     }
 
     std::optional<util::BitStream> nextChunk() override
@@ -257,12 +268,13 @@ class DRangeSource final : public EntropySource
   private:
     core::StreamingTrng &ensureStream()
     {
-        if (!stream_) {
-            if (!engine_->initialized())
-                engine_->initialize();
+        // Never harvest an empty selection (a round would yield no
+        // bits), including after a re-identification that threw.
+        if (!engine_->initialized())
+            engine_->initialize();
+        if (!stream_)
             stream_ =
                 std::make_unique<core::StreamingTrng>(*engine_, config_);
-        }
         return *stream_;
     }
 
@@ -284,6 +296,7 @@ class DRangeSource final : public EntropySource
     core::StreamingConfig config_;
     std::uint64_t delivered_bits_ = 0;
     std::uint64_t delivered_ones_ = 0;
+    bool continuous_ran_ = false; //!< A restart re-identifies.
     SourceInfo info_;
     SourceStats stats_;
 };

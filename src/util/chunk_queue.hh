@@ -8,15 +8,13 @@
  * not outrun conditioning by more than the queue depth) and blocks
  * consumers while empty. close() ends the stream: blocked producers
  * give up (push returns false), and consumers drain the remaining
- * items before pop() returns nullopt. Wait counters are kept so the
- * streaming bench can report which side of the pipeline was the
- * bottleneck.
+ * items before pop() returns nullopt. Wait counters tell a caller
+ * that a producer or consumer is parked on the queue.
  */
 
 #ifndef DRANGE_UTIL_CHUNK_QUEUE_HH
 #define DRANGE_UTIL_CHUNK_QUEUE_HH
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -55,8 +53,6 @@ class ChunkQueue
         if (closed_)
             return false;
         items_.push_back(std::move(item));
-        ++pushes_;
-        high_watermark_ = std::max(high_watermark_, items_.size());
         not_empty_.notify_one();
         return true;
     }
@@ -77,7 +73,6 @@ class ChunkQueue
             return std::nullopt;
         T item = std::move(items_.front());
         items_.pop_front();
-        ++pops_;
         not_full_.notify_one();
         return item;
     }
@@ -99,17 +94,6 @@ class ChunkQueue
 
     std::size_t capacity() const { return capacity_; }
 
-    /** Deepest the queue has ever been (items, not bits). Together
-     * with pushWaits()/popWaits() this is the backpressure signal the
-     * adaptive chunk sizing in trng::Service feeds on: a queue that
-     * never fills is producer-bound, one pinned at capacity is
-     * consumer-bound. */
-    std::size_t highWatermark() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return high_watermark_;
-    }
-
     /** Times push() blocked on a full queue (consumer-bound pipeline). */
     std::uint64_t pushWaits() const
     {
@@ -124,28 +108,13 @@ class ChunkQueue
         return pop_waits_;
     }
 
-    std::uint64_t pushes() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return pushes_;
-    }
-
-    std::uint64_t pops() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return pops_;
-    }
-
   private:
     const std::size_t capacity_;
     mutable std::mutex mu_;
     std::condition_variable not_full_;
     std::condition_variable not_empty_;
     std::deque<T> items_;
-    std::size_t high_watermark_ = 0;
     bool closed_ = false;
-    std::uint64_t pushes_ = 0;
-    std::uint64_t pops_ = 0;
     std::uint64_t push_waits_ = 0;
     std::uint64_t pop_waits_ = 0;
 };

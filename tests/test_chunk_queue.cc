@@ -34,38 +34,6 @@ TEST(ChunkQueue, FifoOrder)
     EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ChunkQueue, HighWatermarkTracksDeepestFill)
-{
-    ChunkQueue<int> q(8);
-    EXPECT_EQ(q.highWatermark(), 0u);
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.highWatermark(), 3u);
-    // Draining does not lower the watermark...
-    q.pop();
-    q.pop();
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.highWatermark(), 3u);
-    // ...and refilling below the old peak does not move it either.
-    q.push(4);
-    EXPECT_EQ(q.highWatermark(), 3u);
-    q.push(5);
-    q.push(6);
-    EXPECT_EQ(q.highWatermark(), 4u);
-}
-
-TEST(ChunkQueue, HighWatermarkCapsAtCapacity)
-{
-    ChunkQueue<int> q(2);
-    q.push(1);
-    q.push(2);
-    ASSERT_EQ(q.pop(), std::optional<int>(1));
-    q.push(3);
-    EXPECT_EQ(q.highWatermark(), 2u);
-    EXPECT_LE(q.highWatermark(), q.capacity());
-}
-
 TEST(ChunkQueue, CloseDrainsThenEnds)
 {
     ChunkQueue<int> q(4);
@@ -140,8 +108,6 @@ TEST(ChunkQueue, ManyProducersOneConsumer)
     }
     for (auto &producer : producers)
         producer.join();
-    EXPECT_EQ(q.pushes(), static_cast<std::uint64_t>(seen.size()));
-    EXPECT_EQ(q.pops(), static_cast<std::uint64_t>(seen.size()));
 }
 
 // ---- nist::runAllParallel -------------------------------------------

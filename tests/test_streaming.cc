@@ -195,42 +195,6 @@ TEST(Streaming, Sha256ConditioningIsDeterministicPerChunk)
     EXPECT_LT(a.size(), stream_a.stats().raw_bits); // Compressing.
 }
 
-TEST(Streaming, OnlineValidationRunsPerChunk)
-{
-    // Every chunk goes through the parallel NIST suite. At a
-    // vanishingly strict alpha no sound test rejects true random
-    // chunks (the suite's chi-squared tails are inflated at this chunk
-    // size, hence not the paper's 1e-4 -- see StreamingConfig docs)...
-    {
-        auto trng = makeTrng(2, HarvestMode::Parallel, 41);
-        StreamingConfig cfg;
-        cfg.chunk_bits = 4096;
-        cfg.validate_threads = 2;
-        cfg.validate_alpha = 1e-12;
-        StreamingTrng stream(trng, cfg);
-        const auto bits = stream.generate(16384);
-        EXPECT_GE(bits.size(), 16384u);
-        const auto &stats = stream.stats();
-        EXPECT_EQ(stats.validated_chunks, stats.chunks);
-        EXPECT_GT(stats.validated_chunks, 0u);
-        EXPECT_EQ(stats.failed_chunks, 0u);
-    }
-    // ...while an absurdly high alpha deterministically rejects every
-    // chunk, proving failures are detected and counted.
-    {
-        auto trng = makeTrng(2, HarvestMode::Parallel, 41);
-        StreamingConfig cfg;
-        cfg.chunk_bits = 4096;
-        cfg.validate_threads = 2;
-        cfg.validate_alpha = 0.999;
-        StreamingTrng stream(trng, cfg);
-        stream.generate(16384);
-        const auto &stats = stream.stats();
-        EXPECT_EQ(stats.failed_chunks, stats.validated_chunks);
-        EXPECT_GT(stats.failed_chunks, 0u);
-    }
-}
-
 TEST(Streaming, ContinuousSessionStops)
 {
     auto trng = makeTrng(2, HarvestMode::Parallel, 43);

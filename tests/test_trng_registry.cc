@@ -20,6 +20,7 @@
 #include "core/streaming.hh"
 #include "trng/health.hh"
 #include "trng/registry.hh"
+#include "util/entropy.hh"
 
 namespace {
 
@@ -259,6 +260,36 @@ TEST(TrngRegistry, DRangeContinuousSessionServesTheBoundedStream)
     ASSERT_GE(expected.size(), n);
     expected.truncate(n);
     EXPECT_EQ(served.toString(), expected.toString());
+}
+
+TEST(TrngRegistry, DRangeRestartReidentifiesAtTheCurrentTemperature)
+{
+    // A cell's activation-failure probability moves with temperature
+    // (paper Fig. 6), so cells selected at 45 C are stale at 75 C. A
+    // restarted session re-identifies them where the device runs now
+    // and serves full-entropy bits again.
+    auto source = Registry::make(
+        "drange", Params{}
+                      .set("banks", 2)
+                      .set("rows_per_bank", 256)
+                      .set("profile_rows", 32)
+                      .set("profile_words", 16)
+                      .set("noise_seed", 42)
+                      .set("temperature_c", 45.0));
+    source->startContinuous();
+    ASSERT_TRUE(source->nextChunk().has_value());
+    source->stop();
+
+    source->setTemperature(75.0);
+    source->startContinuous();
+    util::BitStream bits;
+    while (bits.size() < (std::size_t{1} << 16)) {
+        auto chunk = source->nextChunk();
+        ASSERT_TRUE(chunk.has_value());
+        bits.append(*chunk);
+    }
+    source->stop();
+    EXPECT_GT(util::minEntropy(bits, 3), 0.9);
 }
 
 // ------------------------------------------------ streaming contract

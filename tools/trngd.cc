@@ -49,7 +49,6 @@
 
 #include <sys/resource.h>
 
-#include "fleet/fleet_source.hh"
 #include "net/listener.hh"
 #include "net/server.hh"
 #include "sim/fault.hh"
@@ -283,26 +282,6 @@ checkConfig(const trng::ServiceConfig &service_config,
                 dynamic_cast<const sim::FaultInjector *>(source.get());
             std::printf("trngd: [pool.%s] source=%s ok\n",
                         label.c_str(), member.source.c_str());
-            if (const auto *fs =
-                    dynamic_cast<const fleet::FleetSource *>(
-                        source.get())) {
-                const fleet::Population &pop = fs->population();
-                std::string mix;
-                for (const fleet::Vendor &v : pop.vendors()) {
-                    const int n = pop.vendorCount(v.name);
-                    if (n == 0)
-                        continue;
-                    mix += (mix.empty() ? "" : " ") + v.name + ":" +
-                           std::to_string(n);
-                }
-                std::printf(
-                    "trngd: [pool.%s]   fleet: %zu devices (%s), "
-                    "store=%s\n",
-                    label.c_str(), pop.size(), mix.c_str(),
-                    pop.config().store.empty()
-                        ? "(in-memory)"
-                        : pop.config().store.c_str());
-            }
             if (faulted)
                 for (const sim::FaultEvent &event :
                      faulted->plan().events)
